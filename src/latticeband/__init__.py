@@ -29,16 +29,14 @@ from .core import (
     HOPPING_EPSILON,
     RESCALE_LIMIT,
     RESIDUAL_TOLERANCE,
+    CoefficientTable,
     InitialCondition,
     LatticeSpec,
     PeriodicPotential,
     SolutionTrace,
-    StepCoefficients,
-    hopping,
     propagate,
     recurrence_residual,
     stagger,
-    step_coefficients,
     validate_potential,
 )
 from .errors import (

@@ -19,10 +19,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
+    CoefficientTable,
     LatticeSpec,
     PeriodicPotential,
-    step_coefficients,
     validate_potential,
 )
 from .errors import (
@@ -46,7 +48,10 @@ class SpectralClass(enum.Enum):
 
 @dataclass(frozen=True)
 class Monodromy:
-    """Period transfer matrix entries; disc is the trace t11 + t22."""
+    """Period transfer matrix entries; disc is the trace t11 + t22.
+
+    Entries are arrays for an array of energies, except t21 and t22 at m = 1.
+    """
 
     t11: float
     t12: float
@@ -120,19 +125,25 @@ class FloquetPair:
     degenerate: bool
 
 
-def monodromy(pot: PeriodicPotential, lat: LatticeSpec, energy: float) -> Monodromy:
-    """Product of the per-site transfer matrices over one period (sites 0..m-1)."""
-    validate_potential(pot, lat)
+def _period_map(table: CoefficientTable, energy) -> Monodromy:
     t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    for n in range(pot.m):
-        c = step_coefficients(pot, lat, energy, n)
+    for r in range(table.m):
+        a, b = table.alpha(r, energy), table.beta[r]
         t11, t12, t21, t22 = (
-            c.a * t11 + c.b * t21,
-            c.a * t12 + c.b * t22,
+            a * t11 + b * t21,
+            a * t12 + b * t22,
             t11,
             t12,
         )
     return Monodromy(t11=t11, t12=t12, t21=t21, t22=t22)
+
+
+def monodromy(pot: PeriodicPotential, lat: LatticeSpec, energy) -> Monodromy:
+    """Product of the per-site transfer matrices over one period (sites 0..m-1).
+
+    energy may be an array; each element equals the scalar call bit for bit.
+    """
+    return _period_map(validate_potential(pot, lat), energy)
 
 
 def classify_energy(
@@ -153,9 +164,11 @@ def classify_energy(
 
 
 def _bisect(f, lo, hi, f_lo, tol):
-    """Root of f in [lo, hi] given a sign change, to interval width tol."""
+    """Root of f in [lo, hi] given a sign change, to width tol or float spacing."""
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
@@ -167,13 +180,13 @@ def _bisect(f, lo, hi, f_lo, tol):
 
 
 def _golden_min(f, lo, hi, tol):
-    """Minimiser of a locally unimodal f on [lo, hi] to width tol."""
+    """Minimiser of a locally unimodal f on [lo, hi] to width tol or float spacing."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < b and a < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -184,6 +197,34 @@ def _golden_min(f, lo, hi, tol):
             fd = f(d)
     x = 0.5 * (a + b)
     return x, f(x)
+
+
+def _scan_grid(e_lo, e_hi, grid_points):
+    """Uniform grid of grid_points energies from e_lo to e_hi."""
+    if not e_lo < e_hi:
+        raise ValueError(f"empty scan range [{e_lo}, {e_hi}]")
+    if grid_points < 16:
+        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
+    step = (e_hi - e_lo) / (grid_points - 1)
+    return [e_lo + i * step for i in range(grid_points)]
+
+
+def _scan_roots(f, xs, fs, tol, found):
+    """Sorted roots of f on the grid xs, where fs = f(xs); merged within 4 tol.
+
+    Adds one bisected root per sign-changing grid cell to the roots found.
+    """
+    found = list(found)
+    for i in range(len(xs) - 1):
+        if fs[i] * fs[i + 1] < 0.0:
+            found.append(_bisect(f, xs[i], xs[i + 1], fs[i], tol))
+    found.sort()
+    merged = []
+    for root in found:
+        if merged and root - merged[-1] < 4.0 * tol:
+            continue
+        merged.append(root)
+    return merged
 
 
 def _classify_zone(disc, lo, hi, tol_edge):
@@ -216,18 +257,13 @@ def find_band_edges(
     inside a single grid cell is recovered the same way and triggers a
     GridResolutionWarning, as does a non-alternating zone pattern.
     """
-    if not e_lo < e_hi:
-        raise ValueError(f"empty scan range [{e_lo}, {e_hi}]")
-    if grid_points < 16:
-        raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-    validate_potential(pot, lat)
+    xs = _scan_grid(e_lo, e_hi, grid_points)
+    table = validate_potential(pot, lat)
 
     def disc(energy):
-        return monodromy(pot, lat, energy).disc
+        return _period_map(table, energy).disc
 
-    step = (e_hi - e_lo) / (grid_points - 1)
-    xs = [e_lo + i * step for i in range(grid_points)]
-    ds = [disc(x) for x in xs]
+    ds = disc(np.array(xs)).tolist()
 
     roots = []
     degenerate = []
@@ -243,10 +279,6 @@ def find_band_edges(
                     degenerate.append(BandEdge(energy=xs[i], level=level))
                 else:
                     level_roots.append(xs[i])
-        for i in range(len(g) - 1):
-            if g[i] * g[i + 1] < 0.0:
-                root = _bisect(lambda x: disc(x) - level, xs[i], xs[i + 1], g[i], tol)
-                level_roots.append(root)
 
         # Touches and sub-grid dips: strict local minima of |g| with no sign
         # change in the two adjacent cells.
@@ -269,7 +301,7 @@ def find_band_edges(
                     GridResolutionWarning,
                     stacklevel=2,
                 )
-                f_left = sgn * (disc(xs[i - 1]) - level)
+                f_left = sgn * g[i - 1]
                 level_roots.append(
                     _bisect(lambda x: sgn * (disc(x) - level), xs[i - 1], xm, f_left, tol)
                 )
@@ -279,12 +311,7 @@ def find_band_edges(
             elif qm <= DEGENERATE_DISC_TOL:
                 degenerate.append(BandEdge(energy=xm, level=level))
 
-        level_roots.sort()
-        merged = []
-        for root in level_roots:
-            if merged and root - merged[-1] < 4.0 * tol:
-                continue
-            merged.append(root)
+        merged = _scan_roots(lambda x: disc(x) - level, xs, g, tol, level_roots)
         roots.extend(BandEdge(energy=r, level=level) for r in merged)
 
     roots.sort(key=lambda e: e.energy)
@@ -330,9 +357,10 @@ def diagram_from_edges(
     energies = sorted(float(e) for e in edge_energies)
     if any(not e_lo < e < e_hi for e in energies):
         raise ValueError("claimed edges must lie strictly inside the scan range")
+    table = validate_potential(pot, lat)
 
     def disc(energy):
-        return monodromy(pot, lat, energy).disc
+        return _period_map(table, energy).disc
 
     points = [e_lo] + energies + [e_hi]
     zones = tuple(
@@ -358,10 +386,9 @@ def _eigvec(mono: Monodromy, lam):
     return (vec[0] / norm, vec[1] / norm)
 
 
-def _advance(pot, lat, energy, state):
+def _advance(table, energy, state):
     """One forward step: (psi(0), psi(-1)) -> direction (psi(1), psi(0))."""
-    c = step_coefficients(pot, lat, energy, 0)
-    psi1 = c.a * state[0] + c.b * state[1]
+    psi1 = table.alpha(0, energy) * state[0] + table.beta[0] * state[1]
     norm = math.sqrt(abs(psi1) ** 2 + abs(state[0]) ** 2)
     d = (psi1 / norm, state[0] / norm)
     # Fix the ray representative deterministically.
@@ -379,13 +406,13 @@ def floquet_multipliers(
     tol_edge: float = TOL_EDGE,
 ) -> FloquetPair:
     """Multipliers and eigen-directions of the period map at one energy."""
-    mono = monodromy(pot, lat, energy)
+    table = validate_potential(pot, lat)
+    mono = _period_map(table, energy)
     d = mono.disc
-    m = pot.m
     if abs(abs(d) - 2.0) <= tol_edge:
         lam = d / 2.0
         vec = _eigvec(mono, lam)
-        direction = _advance(pot, lat, energy, vec)
+        direction = _advance(table, energy, vec)
         return FloquetPair(
             lambda_plus=lam,
             lambda_minus=lam,
@@ -400,7 +427,7 @@ def floquet_multipliers(
         big = (d + sq) / 2.0 if d > 0.0 else (d - sq) / 2.0
         small = 1.0 / big
         lam_plus, lam_minus = (big, small) if d > 0.0 else (small, big)
-        kappa = math.log(abs(big)) / m
+        kappa = math.log(abs(big)) / table.m
     else:
         sq = math.sqrt(4.0 - d * d)
         lam_plus = complex(d / 2.0, sq / 2.0)
@@ -409,8 +436,8 @@ def floquet_multipliers(
     return FloquetPair(
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        dir_plus=_advance(pot, lat, energy, _eigvec(mono, lam_plus)),
-        dir_minus=_advance(pot, lat, energy, _eigvec(mono, lam_minus)),
+        dir_plus=_advance(table, energy, _eigvec(mono, lam_plus)),
+        dir_minus=_advance(table, energy, _eigvec(mono, lam_minus)),
         kappa_site=kappa,
         degenerate=False,
     )
@@ -445,25 +472,13 @@ def dirichlet_spectrum(
     of the potential (the m-1 sites at phases 0..m-2 between two infinite
     walls). For m = 1 the entry is constant and the list is empty.
     """
+    xs = _scan_grid(e_lo, e_hi, grid_points)
     if pot.m == 1:
         return []
-    if not e_lo < e_hi:
-        raise ValueError(f"empty scan range [{e_lo}, {e_hi}]")
+    table = validate_potential(pot, lat)
 
     def f(energy):
-        return monodromy(pot, lat, energy).t21
+        return _period_map(table, energy).t21
 
-    step = (e_hi - e_lo) / (grid_points - 1)
-    xs = [e_lo + i * step for i in range(grid_points)]
-    fs = [f(x) for x in xs]
-    found = [xs[i] for i, fi in enumerate(fs) if fi == 0.0]
-    for i in range(len(xs) - 1):
-        if fs[i] * fs[i + 1] < 0.0:
-            found.append(_bisect(f, xs[i], xs[i + 1], fs[i], tol))
-    found.sort()
-    merged = []
-    for root in found:
-        if merged and root - merged[-1] < 4.0 * tol:
-            continue
-        merged.append(root)
-    return merged
+    fs = f(np.array(xs)).tolist()
+    return _scan_roots(f, xs, fs, tol, [x for x, fx in zip(xs, fs) if fx == 0.0])

@@ -95,11 +95,25 @@ class PeriodicPotential:
 
 
 @dataclass(frozen=True)
-class StepCoefficients:
-    """Per-site recurrence psi(n+1) = a psi(n) + b psi(n-1)."""
+class CoefficientTable:
+    """Per-phase coefficients of the step psi(n+1) = a(n) psi(n) + b(n) psi(n-1).
 
-    a: float
-    b: float
+    Site n uses phase r = n mod m: a(n) = alpha_r(E) = (c[r] - E) / h[r] and
+    b(n) = beta[r] = -h[r-1] / h[r], with c = 2/d^2 + v and h = 1/d^2 - u.
+    Built by validate_potential, which guarantees every h[r] is usable.
+    """
+
+    c: tuple
+    h: tuple
+    beta: tuple
+
+    @property
+    def m(self) -> int:
+        return len(self.c)
+
+    def alpha(self, r: int, energy):
+        """alpha_r(E) for a float or a numpy array of energies."""
+        return (self.c[r] - energy) / self.h[r]
 
 
 @dataclass(frozen=True)
@@ -135,6 +149,20 @@ class SolutionTrace:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.s)) + self.ell
 
+    def neighbours(self):
+        """Neighbour values at a common scale: (below, above), n_sites each.
+
+        below[k] is psi(k) at the scale of s(k+1) and above[k] is psi(k+1) at
+        the scale of s(k), so (below[n-1], s(n), above[n]) is psi up to one
+        positive factor.
+        """
+        # math.exp, not np.exp: numpy's vectorised exp can round differently
+        # in the last bit, and ratios built on these values are written out.
+        step = np.diff(self.ell).tolist()
+        below = self.s[:-1] * np.array([math.exp(-x) for x in step])
+        above = self.s[1:] * np.array([math.exp(x) for x in step])
+        return below, above
+
     def reconstructed(self, clamp: float | None = None) -> np.ndarray:
         """psi values as plain floats, optionally clamped to +-clamp.
 
@@ -150,39 +178,25 @@ class SolutionTrace:
         return out
 
 
-def hopping(pot: PeriodicPotential, lat: LatticeSpec, n: int) -> float:
-    """Effective hopping h(n) = 1/d^2 - u(n)."""
-    return lat.inv_step_sq - pot.u_at(n)
-
-
-def validate_potential(pot: PeriodicPotential, lat: LatticeSpec) -> None:
-    """Reject potentials whose hopping degenerates or changes sign."""
-    h = [hopping(pot, lat, n) for n in range(pot.m)]
-    for n, hn in enumerate(h):
-        if abs(hn) < HOPPING_EPSILON:
+def validate_potential(pot: PeriodicPotential, lat: LatticeSpec) -> CoefficientTable:
+    """Reject hopping that degenerates or changes sign; return the step table."""
+    inv = lat.inv_step_sq
+    h = tuple(inv - u for u in pot.u)
+    for r, hr in enumerate(h):
+        if abs(hr) < HOPPING_EPSILON:
             raise HoppingDegenerateError(
-                f"hopping degenerate at site phase {n}: |1/d^2 - u| = {abs(hn):.3g} "
+                f"hopping degenerate at site phase {r}: |1/d^2 - u| = {abs(hr):.3g} "
                 f"< {HOPPING_EPSILON:g}"
             )
-    if any(hn * h[0] < 0.0 for hn in h[1:]):
+    if any(hr * h[0] < 0.0 for hr in h[1:]):
         raise HoppingDegenerateError(
             "effective hopping changes sign across the period"
         )
-
-
-def step_coefficients(
-    pot: PeriodicPotential, lat: LatticeSpec, energy: float, n: int
-) -> StepCoefficients:
-    """Coefficients of the forward step at site n."""
-    inv = lat.inv_step_sq
-    hn = inv - pot.u_at(n)
-    if abs(hn) < HOPPING_EPSILON:
-        raise HoppingDegenerateError(
-            f"hopping degenerate at site {n}: |1/d^2 - u(n)| = {abs(hn):.3g}"
-        )
-    a = (2.0 * inv + pot.v_at(n) - energy) / hn
-    b = -(inv - pot.u_at(n - 1)) / hn
-    return StepCoefficients(a=a, b=b)
+    return CoefficientTable(
+        c=tuple(2.0 * inv + v for v in pot.v),
+        h=h,
+        beta=tuple(-h[r - 1] / h[r] for r in range(pot.m)),
+    )
 
 
 def propagate(
@@ -200,12 +214,10 @@ def propagate(
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
-    validate_potential(pot, lat)
-    inv = lat.inv_step_sq
-    m = pot.m
-    h = [inv - pot.u[r] for r in range(m)]
-    alpha = [(2.0 * inv + pot.v[r] - energy) / h[r] for r in range(m)]
-    beta = [-h[(r - 1) % m] / h[r] for r in range(m)]
+    table = validate_potential(pot, lat)
+    m = table.m
+    alpha = [table.alpha(r, energy) for r in range(m)]
+    beta = table.beta
 
     s = np.empty(n_sites + 1)
     ell = np.empty(n_sites + 1)
@@ -252,16 +264,13 @@ def recurrence_residual(
     Each interior triple is brought to a common scale before differencing,
     so the check is meaningful even where |psi| spans hundreds of decades.
     """
-    worst = 0.0
-    for n in range(1, trace.n_sites):
-        c = step_coefficients(pot, lat, trace.energy, n)
-        top = max(trace.ell[n - 1], trace.ell[n], trace.ell[n + 1])
-        w1 = trace.s[n - 1] * math.exp(trace.ell[n - 1] - top)
-        w2 = trace.s[n] * math.exp(trace.ell[n] - top)
-        w3 = trace.s[n + 1] * math.exp(trace.ell[n + 1] - top)
-        denom = max(abs(w1), abs(w2), abs(w3))
-        if denom == 0.0:
-            continue
-        res = abs(w3 - c.a * w2 - c.b * w1) / denom
-        worst = max(worst, res)
-    return worst
+    table = validate_potential(pot, lat)
+    phase = np.arange(1, trace.n_sites) % table.m
+    a = np.array([table.alpha(r, trace.energy) for r in range(table.m)])[phase]
+    b = np.array(table.beta)[phase]
+    below, above = trace.neighbours()
+    w1, w2, w3 = below[:-1], trace.s[1:-1], above[1:]
+    denom = np.maximum(np.maximum(np.abs(w1), np.abs(w2)), np.abs(w3))
+    keep = denom > 0.0
+    res = np.abs(w3 - a * w2 - b * w1)[keep] / denom[keep]
+    return float(np.max(res, initial=0.0))

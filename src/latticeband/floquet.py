@@ -29,7 +29,6 @@ from .core import (
     PeriodicPotential,
     SolutionTrace,
     propagate,
-    step_coefficients,
     validate_potential,
 )
 from .errors import (
@@ -145,24 +144,21 @@ def floquet_solution(
     lam, direction = select_branch(pair, branch)
     lam = float(lam.real) if isinstance(lam, complex) else float(lam)
 
-    m = pot.m
+    table = validate_potential(pot, lat)
+    m = table.m
     base = np.empty(m + 1)
     base[0] = direction[1]  # psi(0)
     base[1] = direction[0]  # psi(1)
     for n in range(1, m):
-        c = step_coefficients(pot, lat, energy, n)
-        base[n + 1] = c.a * base[n] + c.b * base[n - 1]
+        base[n + 1] = table.alpha(n, energy) * base[n] + table.beta[n] * base[n - 1]
     scale = np.max(np.abs(base[:m])) if m > 1 else abs(base[0])
     base /= scale
 
     log_lam = math.log(abs(lam))
     sign_lam = 1.0 if lam > 0.0 else -1.0
-    s = np.empty(n_sites + 1)
-    ell = np.empty(n_sites + 1)
-    for n in range(n_sites + 1):
-        q, r = divmod(n, m)
-        s[n] = base[r] * (sign_lam**q)
-        ell[n] = q * log_lam
+    q, r = np.divmod(np.arange(n_sites + 1), m)
+    s = base[r] * sign_lam**q
+    ell = q * log_lam
     return SolutionTrace(
         energy=energy,
         ic=InitialCondition(s[0], s[1] * math.exp(ell[1] - ell[0])),
@@ -172,24 +168,18 @@ def floquet_solution(
     )
 
 
-def _scaled_pair(trace: SolutionTrace, n: int):
-    """(psi(n), psi(n+1)) up to one common positive factor."""
-    return trace.s[n], trace.s[n + 1] * math.exp(trace.ell[n + 1] - trace.ell[n])
-
-
 def knots(trace: SolutionTrace) -> KnotList:
     """Zeros of the piecewise-linear interpolant through the samples.
 
     A sign change between sites n and n+1 contributes
     x = n + psi(n) / (psi(n) - psi(n+1)); an exact zero contributes its site.
     """
-    positions = []
-    for n in range(trace.n_sites):
-        a, b = _scaled_pair(trace, n)
-        if a == 0.0:
-            positions.append(float(n))
-        elif a * b < 0.0:
-            positions.append(n + a / (a - b))
+    _, above = trace.neighbours()
+    a = trace.s[:-1]
+    hit = np.flatnonzero((a == 0.0) | (a * above < 0.0))
+    a, b = a[hit], above[hit]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        positions = np.where(a == 0.0, hit, hit + a / (a - b)).tolist()
     if trace.s[trace.n_sites] == 0.0:
         positions.append(float(trace.n_sites))
     return KnotList(positions=tuple(positions))
@@ -229,16 +219,8 @@ def ratio_sequence(trace: SolutionTrace) -> np.ndarray:
     Working with angles instead of raw quotients keeps knots (where a raw
     ratio blows up) harmless.
     """
-    phis = np.empty(trace.n_sites)
-    for n in range(trace.n_sites):
-        a, b = _scaled_pair(trace, n)
-        phis[n] = math.atan2(b, a) % math.pi
-    return phis
-
-
-def _circular_distance_mod_pi(x: float, y: float) -> float:
-    d = abs(x - y) % math.pi
-    return min(d, math.pi - d)
+    _, above = trace.neighbours()
+    return np.arctan2(above, trace.s[:-1]) % math.pi
 
 
 def ratio_periodicity_residual(trace: SolutionTrace, m: int) -> float:
@@ -246,9 +228,8 @@ def ratio_periodicity_residual(trace: SolutionTrace, m: int) -> float:
     phis = ratio_sequence(trace)
     if len(phis) <= m:
         raise InsufficientDataError("trace shorter than one period of ratios")
-    return max(
-        _circular_distance_mod_pi(phis[n + m], phis[n]) for n in range(len(phis) - m)
-    )
+    d = np.abs(phis[m:] - phis[:-m]) % math.pi
+    return float(np.max(np.minimum(d, math.pi - d)))
 
 
 def effective_potential(
@@ -261,24 +242,19 @@ def effective_potential(
     flagged undefined instead of producing huge ratios.
     """
     validate_potential(pot, lat)
-    n_total = trace.n_sites + 1
-    w = np.zeros(n_total)
-    defined = np.zeros(n_total, dtype=bool)
-    la = trace.log_abs()
     m = pot.m
-    log_cut = math.log(UNDEFINED_RATIO_FRACTION)
-    period_max = {}
-    for q in range(0, n_total // m + 1):
-        block = la[q * m : min((q + 1) * m, n_total)]
-        if len(block):
-            period_max[q] = float(np.max(block))
-    for n in range(1, trace.n_sites):
-        if not la[n] > period_max[n // m] + log_cut:
-            continue
-        r_minus = (trace.s[n - 1] * math.exp(trace.ell[n - 1] - trace.ell[n])) / trace.s[n]
-        r_plus = (trace.s[n + 1] * math.exp(trace.ell[n + 1] - trace.ell[n])) / trace.s[n]
-        w[n] = pot.v_at(n) + pot.u_at(n) * r_plus + pot.u_at(n - 1) * r_minus
-        defined[n] = True
+    la = trace.log_abs()
+    site = np.arange(len(la))
+    period_max = np.maximum.reduceat(la, site[::m])[site // m]
+    defined = la > period_max + math.log(UNDEFINED_RATIO_FRACTION)
+    defined[[0, -1]] = False
+
+    below, above = trace.neighbours()
+    n = np.flatnonzero(defined)
+    psi = trace.s[n]
+    v, u = np.array(pot.v), np.array(pot.u)
+    w = np.zeros(len(la))
+    w[n] = v[n % m] + u[n % m] * (above[n] / psi) + u[(n - 1) % m] * (below[n - 1] / psi)
     return EffectivePotentialProfile(w=w, defined=defined, period=m)
 
 
@@ -290,38 +266,26 @@ def effective_consistency_residual(
     Returns the worst relative mismatch over defined sites, evaluated in a
     common scale per site triple.
     """
-    inv = lat.inv_step_sq
-    worst = 0.0
-    for n in range(1, trace.n_sites):
-        if not profile.defined[n]:
-            continue
-        top = max(trace.ell[n - 1], trace.ell[n], trace.ell[n + 1])
-        p1 = trace.s[n - 1] * math.exp(trace.ell[n - 1] - top)
-        p2 = trace.s[n] * math.exp(trace.ell[n] - top)
-        p3 = trace.s[n + 1] * math.exp(trace.ell[n + 1] - top)
-        lhs = -(p3 - 2.0 * p2 + p1) * inv
-        rhs = (trace.energy - profile.w[n]) * p2
-        denom = max(abs(lhs), abs(rhs))
-        if denom == 0.0:
-            continue
-        worst = max(worst, abs(lhs - rhs) / denom)
-    return worst
+    below, above = trace.neighbours()
+    p1, p2, p3 = below[:-1], trace.s[1:-1], above[1:]
+    lhs = -(p3 - 2.0 * p2 + p1) * lat.inv_step_sq
+    rhs = (trace.energy - profile.w[1:-1]) * p2
+    denom = np.maximum(np.abs(lhs), np.abs(rhs))
+    keep = profile.defined[1:-1] & (denom > 0.0)
+    return float(np.max(np.abs(lhs - rhs)[keep] / denom[keep], initial=0.0))
 
 
 def effective_potential_periodicity_residual(
     profile: EffectivePotentialProfile, m: int
 ) -> float:
     """Worst |w(n+m) - w(n)| over site pairs that are both defined."""
-    idx = [
-        n
-        for n in range(len(profile.w) - m)
-        if profile.defined[n] and profile.defined[n + m]
-    ]
-    if len(idx) < m:
+    both = profile.defined[:-m] & profile.defined[m:]
+    pairs = int(np.sum(both))
+    if pairs < m:
         raise InsufficientDataError(
-            f"need at least {m} defined pairs a period apart, have {len(idx)}"
+            f"need at least {m} defined pairs a period apart, have {pairs}"
         )
-    return max(abs(profile.w[n + m] - profile.w[n]) for n in idx)
+    return float(np.max(np.abs(profile.w[m:][both] - profile.w[:-m][both])))
 
 
 def envelope(trace: SolutionTrace, period: int):

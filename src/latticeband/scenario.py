@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -75,6 +76,12 @@ class Tolerances:
     root_tol: float = bands.DEFAULT_ROOT_TOL
     grid_points: int = bands.DEFAULT_GRID_POINTS
     margin: float = oracle.DEFAULT_MARGIN
+
+    def __post_init__(self):
+        if self.grid_points < 16:
+            raise ConfigError(f"grid_points must be at least 16, got {self.grid_points}")
+        if not 0.0 < self.root_tol < math.inf:
+            raise ConfigError(f"root_tol must be positive and finite, got {self.root_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,8 @@ _ENERGY_KINDS = ("trace", "band-scan", "floquet", "effective", "sweep", "beat", 
 def _number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"field '{name}' must be finite, got {value!r}")
     return float(value)
 
 
@@ -399,20 +408,20 @@ def _run_trace(s, kind_label):
     return series
 
 
-def _run_band_scan(s, grid_points, root_tol):
+def _run_band_scan(s, scan):
     pot, lat = s.potential(), s.lattice()
     rows = []
     for energy in s.energy_list():
-        zc = bands.classify_energy(pot, lat, energy, tol_edge=s.tolerances.tol_edge)
+        zc = bands.classify_energy(pot, lat, energy, tol_edge=scan.tol_edge)
         rows.append((float(energy), zc.disc, zc.kind.value))
     diagram = bands.find_band_edges(
         pot,
         lat,
         s.energies.start,
         s.energies.stop,
-        grid_points=grid_points,
-        tol=root_tol,
-        tol_edge=s.tolerances.tol_edge,
+        grid_points=scan.grid_points,
+        tol=scan.root_tol,
+        tol_edge=scan.tol_edge,
     )
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy
@@ -506,7 +515,7 @@ def _run_beat(s):
     return series
 
 
-def _run_validate(s, grid_points, root_tol):
+def _run_validate(s, scan):
     pot, lat = s.potential(), s.lattice()
     if s.claimed_edges is not None:
         diagram = bands.diagram_from_edges(
@@ -515,7 +524,7 @@ def _run_validate(s, grid_points, root_tol):
             s.energies.start,
             s.energies.stop,
             s.claimed_edges,
-            tol_edge=s.tolerances.tol_edge,
+            tol_edge=scan.tol_edge,
         )
     else:
         diagram = bands.find_band_edges(
@@ -523,12 +532,12 @@ def _run_validate(s, grid_points, root_tol):
             lat,
             s.energies.start,
             s.energies.stop,
-            grid_points=grid_points,
-            tol=root_tol,
-            tol_edge=s.tolerances.tol_edge,
+            grid_points=scan.grid_points,
+            tol=scan.root_tol,
+            tol_edge=scan.tol_edge,
         )
     try:
-        report = oracle.cross_validate(diagram, pot, lat, margin=s.tolerances.margin)
+        report = oracle.cross_validate(diagram, pot, lat, margin=scan.margin)
         ok = True
     except ValidationMismatchError as exc:
         report = exc.report
@@ -553,13 +562,16 @@ def run_scenario(
     root_tol: float | None = None,
 ) -> RunResult:
     """Execute a scenario and write its CSV series plus a run manifest."""
-    grid_points = grid_points or s.tolerances.grid_points
-    root_tol = root_tol or s.tolerances.root_tol
+    scan = replace(
+        s.tolerances,
+        grid_points=s.tolerances.grid_points if grid_points is None else grid_points,
+        root_tol=s.tolerances.root_tol if root_tol is None else root_tol,
+    )
     validation_ok = None
     if s.kind in ("trace", "fig1"):
         series = _run_trace(s, s.kind)
     elif s.kind == "band-scan":
-        series = _run_band_scan(s, grid_points, root_tol)
+        series = _run_band_scan(s, scan)
     elif s.kind == "floquet":
         series = _run_floquet(s)
     elif s.kind == "effective":
@@ -569,7 +581,7 @@ def run_scenario(
     elif s.kind == "beat":
         series = _run_beat(s)
     elif s.kind == "validate":
-        series, validation_ok = _run_validate(s, grid_points, root_tol)
+        series, validation_ok = _run_validate(s, scan)
     else:  # unreachable after parsing
         raise ConfigError(f"unknown kind {s.kind!r}")
 

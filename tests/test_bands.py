@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import latticeband.bands
 from latticeband import (
     GridResolutionWarning,
     InitialCondition,
@@ -63,6 +66,14 @@ class TestMonodromy:
             pot = random_potential(rng, m_len)
             for energy in rng.uniform(-2.0, 6.0, size=5):
                 assert abs(monodromy(pot, LAT, float(energy)).det - 1.0) <= 1e-10
+
+    def test_energy_array_matches_scalar_calls(self):
+        pot = random_potential(np.random.default_rng(50), 50)
+        energies = np.linspace(-3.0, 7.0, 2001)
+        batch = monodromy(pot, LAT, energies)
+        for name in ("t11", "t12", "t21", "t22"):
+            scalar = [getattr(monodromy(pot, LAT, float(e)), name) for e in energies]
+            assert np.array(scalar).tobytes() == getattr(batch, name).tobytes()
 
 
 class TestClassify:
@@ -163,6 +174,36 @@ class TestFindBandEdges:
             find_band_edges(FREE, LAT, 2.0, 1.0)
         with pytest.raises(ValueError):
             find_band_edges(FREE, LAT, 0.0, 1.0, grid_points=4)
+        for grid_points in (1, 3):
+            with pytest.raises(ValueError):
+                dirichlet_spectrum(P2, LAT, 0.0, 1.0, grid_points=grid_points)
+
+    @pytest.mark.filterwarnings("ignore::latticeband.GridResolutionWarning")
+    def test_validates_potential_once(self, monkeypatch):
+        calls = []
+        validate = latticeband.bands.validate_potential
+
+        def counting(pot, lat):
+            calls.append(1)
+            return validate(pot, lat)
+
+        monkeypatch.setattr(latticeband.bands, "validate_potential", counting)
+        pot = random_potential(np.random.default_rng(50), 50)
+        find_band_edges(pot, LAT, -3.0, 7.0)
+        assert len(calls) == 1
+
+    def test_zero_tolerance_terminates(self):
+        # bisection stops at float spacing instead of looping forever
+        code = (
+            "from latticeband import LatticeSpec, PeriodicPotential, find_band_edges\n"
+            "d = find_band_edges(PeriodicPotential.local([1, -1]), LatticeSpec(), -2, 6, tol=0.0)\n"
+            "print(len(d.edges))\n"
+        )
+        cp = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "4"
 
     def test_kind_at(self):
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)

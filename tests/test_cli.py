@@ -2,6 +2,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
@@ -72,3 +74,15 @@ def test_validate_needs_scan_range(tmp_path):
     cp = run_cli("validate", bad, "--out", tmp_path)
     assert cp.returncode == 1
     assert "range" in cp.stderr
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--grid", 0), ("--grid", 5), ("--tol", 0)]
+)
+def test_bad_scan_override_is_config_error(tmp_path, flag, value):
+    cp = run_cli(
+        "run", SCENARIO_DIR / "band_scan_period2.scenario", "--out", tmp_path, flag, value
+    )
+    assert cp.returncode == 1
+    assert "config error" in cp.stderr
+    assert "Traceback" not in cp.stderr

@@ -8,11 +8,9 @@ from latticeband import (
     InitialCondition,
     LatticeSpec,
     PeriodicPotential,
-    hopping,
     propagate,
     recurrence_residual,
     stagger,
-    step_coefficients,
     validate_potential,
 )
 
@@ -63,34 +61,41 @@ class TestTypes:
             validate_potential(PeriodicPotential(v=(0.0, 0.0), u=(0.5, 1.5)), LAT)
 
 
+def step_coefficients(pot, lat, energy, n):
+    """(a(n), b(n)) of the step at site n, read from the coefficient table."""
+    table = validate_potential(pot, lat)
+    r = n % table.m
+    return table.alpha(r, energy), table.beta[r]
+
+
 class TestStepCoefficients:
     def test_free_lattice(self):
-        c = step_coefficients(FREE, LAT, 1.0, 0)
-        assert c.a == 1.0 and c.b == -1.0
-        c = step_coefficients(FREE, LAT, 5.0, 3)
-        assert c.a == -3.0 and c.b == -1.0
+        a, b = step_coefficients(FREE, LAT, 1.0, 0)
+        assert a == 1.0 and b == -1.0
+        a, b = step_coefficients(FREE, LAT, 5.0, 3)
+        assert a == -3.0 and b == -1.0
 
     def test_constant_nonlocal(self):
         # psi(n) = r^n with r + 1/r = -4 solves the chain, fixing a = -4.
         pot = PeriodicPotential(v=(0.0,), u=(0.5,))
-        c = step_coefficients(pot, LAT, 4.0, 0)
-        assert c.a == pytest.approx(-4.0, abs=1e-15)
-        assert c.b == -1.0
+        a, b = step_coefficients(pot, LAT, 4.0, 0)
+        assert a == pytest.approx(-4.0, abs=1e-15)
+        assert b == -1.0
         r = -2.0 + math.sqrt(3.0)
-        assert abs(r**2 - (c.a * r + c.b)) < 1e-14  # r solves r^2 = a r + b
+        assert abs(r**2 - (a * r + b)) < 1e-14  # r solves r^2 = a r + b
 
     def test_local_only_reduces_to_b_minus_one(self):
         pot = PeriodicPotential.local([0.3, -0.7, 1.1])
         lat = LatticeSpec(delta=0.5)
         for n in range(6):
-            c = step_coefficients(pot, lat, 0.9, n)
-            assert c.b == -1.0
-            assert c.a == pytest.approx(2.0 + 0.25 * (pot.v_at(n) - 0.9), rel=1e-15)
+            a, b = step_coefficients(pot, lat, 0.9, n)
+            assert b == -1.0
+            assert a == pytest.approx(2.0 + 0.25 * (pot.v_at(n) - 0.9), rel=1e-15)
 
     def test_degenerate_hopping_raises(self):
         pot = PeriodicPotential(v=(0.0,), u=(1.0 - 1e-12,))
         with pytest.raises(HoppingDegenerateError):
-            step_coefficients(pot, LAT, 1.0, 0)
+            validate_potential(pot, LAT)
 
 
 class TestPropagate:
@@ -168,11 +173,9 @@ class TestPropagate:
         t1 = propagate(pot, LAT, energy, InitialCondition(1.0, 0.0), 500)
         t2 = propagate(pot, LAT, energy, InitialCondition(0.0, 1.0), 500)
         p1, p2 = t1.reconstructed(), t2.reconstructed()
+        h = validate_potential(pot, LAT).h
         w = np.array(
-            [
-                hopping(pot, LAT, n) * (p1[n + 1] * p2[n] - p2[n + 1] * p1[n])
-                for n in range(500)
-            ]
+            [h[n % 2] * (p1[n + 1] * p2[n] - p2[n + 1] * p1[n]) for n in range(500)]
         )
         assert np.max(np.abs(w - w[0])) <= 1e-9 * abs(w[0])
 

@@ -24,6 +24,7 @@ from latticeband import (
     knots,
     propagate,
     ratio_periodicity_residual,
+    ratio_sequence,
     recurrence_residual,
     tail_growth_rate,
 )
@@ -265,3 +266,48 @@ class TestBeatEstimate:
         trace = propagate(FREE, LAT, 5.0, InitialCondition(0.0, 1.0), 200)
         with pytest.raises(OutsideAllowedZoneError):
             beat_estimate(trace, FREE, LAT)
+
+
+def loop_pair(trace, n):
+    """(psi(n), psi(n+1)) at the scale of s(n), one site at a time."""
+    return trace.s[n], trace.s[n + 1] * math.exp(trace.ell[n + 1] - trace.ell[n])
+
+
+class TestArrayFormsMatchSiteLoops:
+    # a floquet trace changes scale every period, a generic one at rescales
+    @pytest.fixture(
+        params=[
+            lambda: floquet_solution(MIXED, LAT, 2.0, "decaying", 120),
+            lambda: propagate(MIXED, LAT, 2.0, InitialCondition(1.0, 1.0), 400),
+        ]
+    )
+    def trace(self, request):
+        trace = request.param()
+        assert len(np.unique(trace.ell)) > 3
+        return trace
+
+    def test_knots(self, trace):
+        expected = []
+        for n in range(trace.n_sites):
+            a, b = loop_pair(trace, n)
+            if a == 0.0:
+                expected.append(float(n))
+            elif a * b < 0.0:
+                expected.append(n + a / (a - b))
+        assert list(knots(trace).positions) == expected
+
+    def test_ratio_angles(self, trace):
+        expected = [
+            math.atan2(b, a) % math.pi
+            for a, b in (loop_pair(trace, n) for n in range(trace.n_sites))
+        ]
+        assert np.allclose(ratio_sequence(trace), expected, rtol=0.0, atol=1e-14)
+
+    def test_effective_potential(self, trace):
+        profile = effective_potential(trace, MIXED, LAT)
+        assert profile.defined[1:-1].all()
+        for n in range(1, trace.n_sites):
+            up = loop_pair(trace, n)[1] / trace.s[n]
+            down = trace.s[n - 1] * math.exp(trace.ell[n - 1] - trace.ell[n]) / trace.s[n]
+            w = MIXED.v_at(n) + MIXED.u_at(n) * up + MIXED.u_at(n - 1) * down
+            assert profile.w[n] == w

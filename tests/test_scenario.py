@@ -48,6 +48,24 @@ class TestParse:
         s = make({"kind": "fig1"})
         assert s.energies == FIG1_ENERGIES
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "trace", "v": [NaN], "energies": [1.0], "ic": [0, 1]}',
+            '{"kind": "trace", "energies": [Infinity], "ic": [0, 1]}',
+        ],
+    )
+    def test_non_finite_number_rejected(self, text):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_scenario(text)
+
+    @pytest.mark.parametrize(
+        "tolerances", [{"grid_points": 5}, {"root_tol": 0.0}, {"root_tol": -1e-10}]
+    )
+    def test_scan_tolerances_bounded(self, tolerances):
+        with pytest.raises(ConfigError):
+            make({"kind": "fig1", "tolerances": tolerances})
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown kind"):
             make({"kind": "bands"})
