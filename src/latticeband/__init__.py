@@ -77,7 +77,6 @@ from .oracle import (
     IntervalClass,
     ValidationCheck,
     ValidationReport,
-    classify_interval,
     cross_validate,
     sturm_count,
 )

@@ -24,6 +24,7 @@ the same ell, which keeps neighbour ratios exact.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class LatticeSpec:
     def __post_init__(self):
         if not self.delta > 0.0:
             raise ValueError(f"lattice step must be positive, got {self.delta}")
+        if not self.delta * self.delta > 1.0 / sys.float_info.max:
+            raise ValueError(f"lattice step {self.delta} is too small: 1/d^2 overflows")
 
     @property
     def inv_step_sq(self) -> float:

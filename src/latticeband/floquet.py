@@ -44,6 +44,8 @@ UNDEFINED_RATIO_FRACTION = 1e-12
 # Knot windows are offset by this much when counting knots per period, so a
 # knot sitting exactly on a window boundary lands on one side only.
 _KNOT_WINDOW_PAD = 1e-6
+# Fewest boundary directions ic_sweep scores.
+MIN_ANGLES = 8
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,9 @@ def floquet_solution(
 
     branch selects the root of x^2 - D x + 1: "plus"/"minus" by the sign in
     the quadratic formula, or "growing"/"decaying" by |lambda|. One period is
-    propagated from the eigen-direction of the period map and extended by
+    propagated from the eigen-direction of the period map, forward for
+    |lambda| >= 1 and backward from the next period for |lambda| < 1 (the
+    direction in which each branch grows), and extended by
     psi(n+m) = lambda psi(n), which keeps the multiplier relation exact over
     arbitrarily many periods (forward recursion alone would lose the decaying
     branch to rounding within a few periods).
@@ -146,13 +150,20 @@ def floquet_solution(
 
     table = validate_potential(pot, lat)
     m = table.m
-    base = np.empty(m + 1)
-    base[0] = direction[1]  # psi(0)
-    base[1] = direction[0]  # psi(1)
-    for n in range(1, m):
-        base[n + 1] = table.alpha(n, energy) * base[n] + table.beta[n] * base[n - 1]
-    scale = np.max(np.abs(base[:m])) if m > 1 else abs(base[0])
-    base /= scale
+    base = np.empty(m + 2)
+    if abs(lam) >= 1.0:
+        base[:2] = direction[1], direction[0]  # psi(0), psi(1)
+        for n in range(1, m):
+            base[n + 1] = table.alpha(n, energy) * base[n] + table.beta[n] * base[n - 1]
+    else:
+        # The decaying solution grows towards lower sites, so the period is
+        # filled backward from psi(m) = lambda psi(0), psi(m+1) = lambda psi(1).
+        base[m:] = lam * direction[1], lam * direction[0]
+        for n in range(m, 1, -1):
+            r = n % m
+            base[n - 1] = (base[n + 1] - table.alpha(r, energy) * base[n]) / table.beta[r]
+        base[0] = direction[1]
+    base = base[:m] / np.max(np.abs(base[:m]))
 
     log_lam = math.log(abs(lam))
     sign_lam = 1.0 if lam > 0.0 else -1.0
@@ -352,8 +363,8 @@ def ic_sweep(
     it matches the decaying eigen-direction of the period map to within the
     grid spacing pi/angle_count.
     """
-    if angle_count < 8:
-        raise ValueError(f"angle_count must be at least 8, got {angle_count}")
+    if angle_count < MIN_ANGLES:
+        raise ValueError(f"angle_count must be at least {MIN_ANGLES}, got {angle_count}")
     alphas, growths = [], []
     for j in range(angle_count):
         alpha = j * math.pi / angle_count

@@ -3,10 +3,14 @@
 A hard-wall truncation of the periodic operator is a real symmetric
 tridiagonal matrix: diagonal 2/d^2 + v(n), first off-diagonals u(n) - 1/d^2.
 The number of eigenvalues below E equals the number of negative pivots in the
-LDL^T factorisation of J - E I, a single scalar recurrence per site. Counting
-at two system sizes separates bulk states (count grows with N) from the
-handful of wall-bound states a truncation can pin inside a gap, giving a
-validation path that never touches the transfer-matrix code.
+LDL^T factorisation of J - E I, a single scalar recurrence per site. The
+pivots of a leading block are the first pivots of the whole chain, so one
+pass over a chain of n2 = 2000 m sites also gives the counts of its leading
+n1 = 1000 m sites. Between two energies inside a band the count grows by one
+state per added period; inside a gap it stays at the handful of wall-bound
+states a truncation can pin there, whatever the length (gap labelling). Every
+zone of a diagram is probed this way and judged Band or Gap, on a path that
+never touches the transfer-matrix code.
 """
 
 from __future__ import annotations
@@ -22,18 +26,16 @@ from .errors import ValidationMismatchError
 
 # Zero pivots are nudged to this (negative) value and counted as negative.
 _PIVOT_TINY = 1e-300
-# Minimum eigenvalue density (per site per unit energy) a pure band must show.
-RHO_MIN = 0.01
 # Wall-bound states allowed inside a gap: at most one per wall.
 MAX_EDGE_STATES = 2
 DEFAULT_MARGIN = 0.05
-_CHUNKS = 8
+# Recomputed edges closer than this to a diagram boundary do not cut its zone.
+_MERGE_DISTANCE = 1e-6
 
 
 class IntervalClass(enum.Enum):
     GAP = "Gap"
     BAND = "Band"
-    MIXED = "Mixed"
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,10 @@ class FiniteOperator:
     def from_potential(
         cls, pot: PeriodicPotential, lat: LatticeSpec, n_sites: int
     ) -> "FiniteOperator":
-        validate_potential(pot, lat)
-        inv = lat.inv_step_sq
-        diag = np.array([2.0 * inv + pot.v_at(n) for n in range(n_sites)])
-        off = np.array([pot.u_at(n) - inv for n in range(n_sites - 1)])
+        table = validate_potential(pot, lat)
+        reps = n_sites // pot.m + 1
+        diag = np.tile(table.c, reps)[:n_sites]
+        off = -np.tile(table.h, reps)[: n_sites - 1]
         return cls(diag=diag, off=off)
 
 
@@ -91,80 +93,33 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
-def _counts_batch(op: FiniteOperator, energies: np.ndarray) -> np.ndarray:
-    """Negative-pivot counts of J - E I for several energies at once."""
+def _counts_batch(op: FiniteOperator, energies, prefix: int | None = None):
+    """Negative-pivot counts of J - E I for several energies at once.
+
+    Returns (counts of the leading prefix sites, counts of the whole chain);
+    prefix defaults to the whole chain.
+    """
     energies = np.asarray(energies, dtype=float)
     counts = np.zeros(energies.shape, dtype=int)
+    head = None
     off_sq = op.off**2
     with np.errstate(divide="ignore", over="ignore"):
         d = op.diag[0] - energies
         d = np.where(d == 0.0, -_PIVOT_TINY, d)
         counts += d < 0.0
         for i in range(1, op.n_sites):
+            if i == prefix:
+                head = counts.copy()
             d = op.diag[i] - energies - off_sq[i - 1] / d
             d = np.where(d == 0.0, -_PIVOT_TINY, d)
             counts += d < 0.0
-    return counts
+    return (counts if head is None else head), counts
 
 
 def sturm_count(op: FiniteOperator, energy: float) -> CountReport:
     """Number of eigenvalues of the hard-wall chain strictly below energy."""
-    count = int(_counts_batch(op, np.array([energy]))[0])
+    count = int(_counts_batch(op, [energy])[1][0])
     return CountReport(energy=energy, count=count, n_sites=op.n_sites)
-
-
-def _chunk_verdict(c1: int, c2: int, width: float, n1: int, n2: int) -> IntervalClass:
-    if c2 == c1 and c2 <= MAX_EDGE_STATES:
-        return IntervalClass.GAP
-    if c2 - c1 >= max(1.0, (n2 - n1) * width * RHO_MIN):
-        return IntervalClass.BAND
-    return IntervalClass.MIXED
-
-
-def classify_interval(
-    pot: PeriodicPotential,
-    lat: LatticeSpec,
-    interval,
-    n1: int | None = None,
-    n2: int | None = None,
-) -> IntervalClass:
-    """Gap / Band / Mixed verdict for an energy interval.
-
-    The interval is split into sub-chunks, each judged on counts at the two
-    sizes: equal-and-tiny counts mean gap, growth at no less than RHO_MIN per
-    site per unit energy means band. All-gap chunks give Gap, all-band give
-    Band, anything else is Mixed, so an interval straddling a band edge is
-    reported as Mixed rather than averaged into a band.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not lo < hi:
-        raise ValueError(f"empty interval ({lo}, {hi})")
-    m = pot.m
-    n1 = 1000 * m if n1 is None else n1
-    n2 = 2000 * m if n2 is None else n2
-    if not n1 < n2:
-        raise ValueError(f"need n1 < n2, got {n1}, {n2}")
-    if n1 % m or n2 % m:
-        raise ValueError("system sizes must be multiples of the period")
-    bounds = np.linspace(lo, hi, _CHUNKS + 1)
-    counts1 = _counts_batch(FiniteOperator.from_potential(pot, lat, n1), bounds)
-    counts2 = _counts_batch(FiniteOperator.from_potential(pot, lat, n2), bounds)
-    width = (hi - lo) / _CHUNKS
-    verdicts = {
-        _chunk_verdict(
-            int(counts1[k + 1] - counts1[k]),
-            int(counts2[k + 1] - counts2[k]),
-            width,
-            n1,
-            n2,
-        )
-        for k in range(_CHUNKS)
-    }
-    if verdicts == {IntervalClass.GAP}:
-        return IntervalClass.GAP
-    if verdicts == {IntervalClass.BAND}:
-        return IntervalClass.BAND
-    return IntervalClass.MIXED
 
 
 def cross_validate(
@@ -172,46 +127,50 @@ def cross_validate(
     pot: PeriodicPotential,
     lat: LatticeSpec,
     margin: float = DEFAULT_MARGIN,
-    n1: int | None = None,
-    n2: int | None = None,
 ) -> ValidationReport:
     """Check every zone of a diagram against the counting oracle.
 
-    The scan range is cut at both the diagram's edges and freshly recomputed
-    discriminant edges, so a misplaced claimed edge leaves a segment whose
-    claimed class the oracle can contradict. Each segment, shrunk by margin
-    on both sides, must classify as Band inside claimed allowed zones and Gap
-    inside claimed forbidden ones. Raises ValidationMismatchError (carrying
-    the full report) if any segment fails.
+    Zones are cut at freshly recomputed discriminant edges lying more than
+    _MERGE_DISTANCE from every boundary of the diagram, so a misplaced claimed
+    edge leaves a segment whose claimed class the oracle can contradict; the
+    diagram's own boundaries are never merged, so narrow zones are checked
+    too. Each segment (lo, hi) is probed at lo + inset and hi - inset, inset =
+    min(margin, (hi - lo)/4), on hard-wall chains of n1 = 1000 m and
+    n2 = 2000 m sites, both read from one pivot pass. A segment is Gap when
+    the count between its probes is the same at both sizes and at most
+    MAX_EDGE_STATES, and Band otherwise; it must be Band inside claimed
+    allowed zones and Gap inside claimed forbidden ones. Raises
+    ValidationMismatchError (carrying the full report) if any segment fails.
     """
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
     recomputed = find_band_edges(pot, lat, diagram.e_lo, diagram.e_hi)
-    cuts = sorted(
-        {diagram.e_lo, diagram.e_hi}
-        | set(diagram.edge_energies())
-        | set(recomputed.edge_energies())
-    )
-    points = []
-    for x in cuts:
-        if points and x - points[-1] < 1e-6:
-            continue
-        points.append(x)
+    bounds = [diagram.e_lo] + [z.hi for z in diagram.zones]
+    cuts = []
+    for x in sorted(recomputed.edge_energies()):
+        if all(abs(x - p) > _MERGE_DISTANCE for p in bounds + cuts):
+            cuts.append(x)
+    kinds, probes = [], []
+    for z in diagram.zones:
+        points = [z.lo, *(x for x in cuts if z.lo < x < z.hi), z.hi]
+        for lo, hi in zip(points[:-1], points[1:]):
+            inset = min(margin, 0.25 * (hi - lo))
+            kinds.append(z.kind)
+            probes += [lo + inset, hi - inset]
+    n1 = 1000 * pot.m
+    op = FiniteOperator.from_potential(pot, lat, 2 * n1)
+    counts1, counts2 = _counts_batch(op, probes, prefix=n1)
+    inside1 = counts1[1::2] - counts1[0::2]
+    inside2 = counts2[1::2] - counts2[0::2]
     checks = []
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi - lo <= 2.0 * margin:
-            continue
-        mid = 0.5 * (lo + hi)
-        expected = (
-            IntervalClass.BAND
-            if diagram.kind_at(mid) == SpectralClass.ALLOWED
-            else IntervalClass.GAP
-        )
-        verdict = classify_interval(pot, lat, (lo + margin, hi - margin), n1=n1, n2=n2)
+    for k, kind in enumerate(kinds):
+        expected = IntervalClass.BAND if kind == SpectralClass.ALLOWED else IntervalClass.GAP
+        is_gap = inside1[k] == inside2[k] <= MAX_EDGE_STATES
+        verdict = IntervalClass.GAP if is_gap else IntervalClass.BAND
         checks.append(
             ValidationCheck(
-                lo=lo + margin,
-                hi=hi - margin,
+                lo=probes[2 * k],
+                hi=probes[2 * k + 1],
                 expected=expected.value,
                 verdict=verdict.value,
                 passed=verdict == expected,

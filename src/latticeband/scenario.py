@@ -55,6 +55,8 @@ KINDS = (
 FIG1_ENERGIES = (-0.5, -0.1, 0.0, 0.7, 2.0, 3.9, 4.0, 4.5)
 
 CLAMP = 1e12
+# Upper bound of every size field: m, n_sites, angles, count, grid_points.
+MAX_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,14 @@ class Tolerances:
     margin: float = oracle.DEFAULT_MARGIN
 
     def __post_init__(self):
-        if self.grid_points < 16:
-            raise ConfigError(f"grid_points must be at least 16, got {self.grid_points}")
+        if not 16 <= self.grid_points <= MAX_SIZE:
+            raise ConfigError(
+                f"grid_points must be between 16 and {MAX_SIZE}, got {self.grid_points}"
+            )
         if not 0.0 < self.root_tol < math.inf:
             raise ConfigError(f"root_tol must be positive and finite, got {self.root_tol!r}")
+        if not 0.0 < self.margin < math.inf:
+            raise ConfigError(f"margin must be positive and finite, got {self.margin!r}")
 
 
 @dataclass(frozen=True)
@@ -152,14 +158,20 @@ _ENERGY_KINDS = ("trace", "band-scan", "floquet", "effective", "sweep", "beat", 
 def _number(value, name):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field '{name}' must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"field '{name}' is too large for a float") from None
     if not math.isfinite(value):
         raise ConfigError(f"field '{name}' must be finite, got {value!r}")
-    return float(value)
+    return value
 
 
-def _integer(value, name):
+def _integer(value, name, lo=1):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field '{name}' must be an integer, got {value!r}")
+    if not lo <= value <= MAX_SIZE:
+        raise ConfigError(f"field '{name}' must be between {lo} and {MAX_SIZE}, got {value}")
     return value
 
 
@@ -179,15 +191,22 @@ def _parse_energies(value):
         for key in ("from", "to", "count"):
             if key not in value:
                 raise ConfigError(f"energies range is missing '{key}'")
-        count = _integer(value["count"], "energies.count")
-        if count < 1:
-            raise ConfigError(f"energies.count must be positive, got {count}")
         return EnergyRange(
             start=_number(value["from"], "energies.from"),
             stop=_number(value["to"], "energies.to"),
-            count=count,
+            count=_integer(value["count"], "energies.count"),
         )
     raise ConfigError("field 'energies' must be an array or a {from, to, count} object")
+
+
+def _check_scan_range(energies, kind):
+    if not isinstance(energies, EnergyRange):
+        raise ConfigError(f"kind '{kind}' requires energies as a {{from, to, count}} range")
+    if not energies.start < energies.stop:
+        raise ConfigError(
+            f"kind '{kind}' needs energies.from < energies.to, "
+            f"got {energies.start!r} and {energies.stop!r}"
+        )
 
 
 def _parse_ic(value):
@@ -247,8 +266,6 @@ def parse_scenario(text: str) -> Scenario:
     u_given = raw.get("u")
     if m_given is not None:
         m_given = _integer(m_given, "m")
-        if m_given < 1:
-            raise ConfigError(f"field 'm' must be at least 1, got {m_given}")
     v = _number_list(v_given, "v") if v_given is not None else None
     u = _number_list(u_given, "u") if u_given is not None else None
     m = m_given or (len(v) if v is not None else None) or (len(u) if u is not None else None) or 1
@@ -268,14 +285,12 @@ def parse_scenario(text: str) -> Scenario:
     energies = _parse_energies(raw["energies"]) if "energies" in raw else None
     if kind == "fig1" and energies is None:
         energies = FIG1_ENERGIES
-    if kind in _RANGE_KINDS and not isinstance(energies, EnergyRange):
-        raise ConfigError(f"kind '{kind}' requires energies as a {{from, to, count}} range")
+    if kind in _RANGE_KINDS:
+        _check_scan_range(energies, kind)
 
-    n_sites = _integer(raw.get("n_sites", 400), "n_sites")
-    if n_sites < 2:
-        raise ConfigError(f"n_sites must be at least 2, got {n_sites}")
+    n_sites = _integer(raw.get("n_sites", 400), "n_sites", lo=2)
     ic = _parse_ic(raw["ic"]) if "ic" in raw else (0.0, 1.0)
-    angles = _integer(raw.get("angles", 180), "angles")
+    angles = _integer(raw.get("angles", 180), "angles", lo=floquet.MIN_ANGLES)
     branch = raw.get("branch", "growing")
     if branch not in ("plus", "minus", "growing", "decaying"):
         raise ConfigError(f"unknown branch {branch!r}")
@@ -286,6 +301,8 @@ def parse_scenario(text: str) -> Scenario:
     )
     if claimed is not None and kind != "validate":
         raise ConfigError("field 'claimed_edges' only applies to the validate kind")
+    if claimed is not None and not all(energies.start < e < energies.stop for e in claimed):
+        raise ConfigError("claimed_edges must lie strictly inside the energies range")
     out = raw.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError("field 'out' must be a string")
@@ -613,8 +630,5 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 def as_validate(s: Scenario) -> Scenario:
     """Reinterpret any scenario with a range of energies as a validate job."""
-    if not isinstance(s.energies, EnergyRange):
-        raise ConfigError(
-            "validation needs energies as a {from, to, count} scan range"
-        )
+    _check_scan_range(s.energies, "validate")
     return replace(s, kind="validate")

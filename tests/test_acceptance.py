@@ -135,7 +135,7 @@ def test_criterion_03_gap_opening_with_oracle():
         ]
         assert len(gap_zones) == 1
         assert abs(gap_zones[0].lo - 1.0) <= 1e-8 and abs(gap_zones[0].hi - 3.0) <= 1e-8
-        report = cross_validate(diagram, P2, LAT, n1=2000, n2=4000)
+        report = cross_validate(diagram, P2, LAT)
         assert report.all_passed
     print(
         f"ACCEPTANCE 03 PASS: gap (1,3), outer edges 2-+sqrt5, max edge error "

@@ -86,3 +86,33 @@ def test_bad_scan_override_is_config_error(tmp_path, flag, value):
     assert cp.returncode == 1
     assert "config error" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+RANGE = '"energies": {"from": -1, "to": 5, "count": 3}'
+REVERSED = '"energies": {"from": 5, "to": -1, "count": 3}'
+
+
+@pytest.mark.parametrize(
+    "command,doc",
+    [
+        ("run", '{"kind": "sweep", "energies": [5.0], "angles": 7}'),
+        ("run", '{"kind": "validate", %s, "tolerances": {"margin": 0}}' % RANGE),
+        ("run", '{"kind": "band-scan", %s}' % REVERSED),
+        ("run", '{"kind": "band-scan", "energies": {"from": 1, "to": 1, "count": 3}}'),
+        ("validate", '{"kind": "trace", %s, "ic": [0, 1]}' % REVERSED),
+        ("run", '{"kind": "trace", "energies": [1%s], "ic": [0, 1]}' % ("0" * 400)),
+        ("run", '{"kind": "trace", "energies": [1.0], "ic": [0, 1], "n_sites": 1000001}'),
+        ("run", '{"kind": "validate", %s, "claimed_edges": [6.0]}' % RANGE),
+    ],
+    ids=[
+        "angles", "margin", "reversed-range", "empty-range", "validate-reversed-range",
+        "huge-int", "n-sites", "claimed-outside-range",
+    ],
+)
+def test_bad_field_is_config_error(tmp_path, command, doc):
+    bad = tmp_path / "bad.scenario"
+    bad.write_text(doc)
+    cp = run_cli(command, bad, "--out", tmp_path)
+    assert cp.returncode == 1
+    assert "config error" in cp.stderr
+    assert "Traceback" not in cp.stderr

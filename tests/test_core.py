@@ -36,6 +36,8 @@ class TestTypes:
             LatticeSpec(delta=0.0)
         with pytest.raises(ValueError):
             LatticeSpec(delta=-1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            LatticeSpec(delta=1e-300)
 
     def test_potential_lengths_must_match(self):
         with pytest.raises(ValueError):

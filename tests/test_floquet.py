@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from latticeband import (
+    RESIDUAL_TOLERANCE,
     DegenerateEdgeError,
     InitialCondition,
     InsufficientDataError,
@@ -17,6 +18,7 @@ from latticeband import (
     effective_consistency_residual,
     effective_potential,
     effective_potential_periodicity_residual,
+    find_band_edges,
     floquet_multipliers,
     floquet_solution,
     ic_sweep,
@@ -69,6 +71,23 @@ class TestFloquetSolution:
             for branch in ("growing", "decaying"):
                 trace = floquet_solution(pot, LAT, energy, branch, 25 * pot.m)
                 assert recurrence_residual(trace, pot, LAT) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::latticeband.GridResolutionWarning")
+    def test_decaying_branch_satisfies_recurrence_at_long_periods(self):
+        # kappa * m is large at these gap midpoints: a forward fill of the
+        # decaying period is swamped by the growing solution
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            m = int(rng.integers(24, 46))
+            pot = PeriodicPotential(
+                v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+            )
+            diagram = find_band_edges(pot, LAT, -3.0, 7.0)
+            for z in diagram.zones[1:-1]:
+                if z.kind != SpectralClass.FORBIDDEN:
+                    continue
+                trace = floquet_solution(pot, LAT, 0.5 * (z.lo + z.hi), "decaying", 3 * m)
+                assert recurrence_residual(trace, pot, LAT) <= RESIDUAL_TOLERANCE
 
     def test_allowed_energy_rejected(self):
         with pytest.raises(NotForbiddenError):

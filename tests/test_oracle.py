@@ -5,16 +5,15 @@ import pytest
 
 from latticeband import (
     FiniteOperator,
-    IntervalClass,
     LatticeSpec,
     PeriodicPotential,
     ValidationMismatchError,
-    classify_interval,
     cross_validate,
     diagram_from_edges,
     find_band_edges,
     sturm_count,
 )
+from latticeband import oracle
 
 FREE = PeriodicPotential.free()
 P2 = PeriodicPotential.local([1.0, -1.0])
@@ -72,29 +71,24 @@ class TestSturmCount:
         assert all(b >= a for a, b in zip(counts, counts[1:]))
         assert counts[0] == 0 and counts[-1] == 200
 
-
-class TestClassifyInterval:
-    def test_gap(self):
-        assert classify_interval(P2, LAT, (1.05, 2.95)) == IntervalClass.GAP
-
-    def test_band(self):
-        assert classify_interval(FREE, LAT, (0.5, 3.5)) == IntervalClass.BAND
-
-    def test_mixed_straddles_edge(self):
-        assert classify_interval(P2, LAT, (0.5, 2.0)) == IntervalClass.MIXED
-
     def test_edge_state_budget(self):
-        # no gap chunk may hold more than two size-independent states
+        # no gap segment may hold more than two size-independent states
         for n in (2000, 4000):
             op = FiniteOperator.from_potential(P2, LAT, n)
             inside = sturm_count(op, 2.95).count - sturm_count(op, 1.05).count
             assert inside <= 2
 
-    def test_rejects_bad_sizes(self):
-        with pytest.raises(ValueError):
-            classify_interval(P2, LAT, (1.0, 2.0), n1=2000, n2=1000)
-        with pytest.raises(ValueError):
-            classify_interval(P2, LAT, (1.0, 2.0), n1=1001, n2=2000)
+    def test_prefix_counts_match_shorter_chain(self):
+        rng = np.random.default_rng(3)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 5)), u=tuple(rng.uniform(-0.2, 0.2, 5))
+        )
+        energies = rng.uniform(-1.0, 5.0, 40)
+        long = FiniteOperator.from_potential(pot, LAT, 1000)
+        short = FiniteOperator.from_potential(pot, LAT, 500)
+        head, whole = oracle._counts_batch(long, energies, prefix=500)
+        assert head.tolist() == oracle._counts_batch(short, energies)[1].tolist()
+        assert whole.tolist() == oracle._counts_batch(long, energies)[1].tolist()
 
 
 class TestCrossValidate:
@@ -127,6 +121,43 @@ class TestCrossValidate:
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
         with pytest.raises(ValueError):
             cross_validate(diagram, FREE, LAT, margin=0.0)
+
+
+def random_potential(seed, m):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1.0, 1.0, m)
+    u = rng.uniform(-0.2, 0.2, m)
+    return PeriodicPotential(v=tuple(v), u=tuple(u))
+
+
+class TestEveryZoneChecked:
+    @pytest.mark.filterwarnings("ignore::latticeband.GridResolutionWarning")
+    @pytest.mark.parametrize("seed,m,n_zones", [(5, 20, 41), (0, 20, 41), (150, 50, 99)])
+    def test_one_passing_check_per_zone(self, seed, m, n_zones):
+        # seed 5 has a band 1.7e-3 wide, narrower than twice the margin; seed 0
+        # a band 8.7e-7 wide, below the merge distance; seed 150 two bands
+        # 7.45e-11 wide
+        pot = random_potential(seed, m)
+        diagram = find_band_edges(pot, LAT, -3.0, 7.0)
+        assert len(diagram.zones) == n_zones
+        report = cross_validate(diagram, pot, LAT)
+        assert len(report.checks) == len(diagram.zones)
+        for check, zone in zip(report.checks, diagram.zones):
+            assert zone.lo < check.lo < check.hi < zone.hi
+            assert check.passed
+
+    def test_one_pivot_pass(self, monkeypatch):
+        calls = []
+        original = oracle._counts_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n_sites)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_counts_batch", counting)
+        diagram = find_band_edges(P2, LAT, -2.0, 6.0)
+        cross_validate(diagram, P2, LAT)
+        assert calls == [4000]
 
 
 class TestCountingFunctionAgreement:
