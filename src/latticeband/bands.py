@@ -146,6 +146,15 @@ def monodromy(pot: PeriodicPotential, lat: LatticeSpec, energy) -> Monodromy:
     return _period_map(validate_potential(pot, lat), energy)
 
 
+def _zone_kind(d, tol_edge):
+    """Allowed / Forbidden / Edge for a discriminant value d."""
+    if abs(d) < 2.0 - tol_edge:
+        return SpectralClass.ALLOWED
+    if abs(d) > 2.0 + tol_edge:
+        return SpectralClass.FORBIDDEN
+    return SpectralClass.EDGE
+
+
 def classify_energy(
     pot: PeriodicPotential,
     lat: LatticeSpec,
@@ -154,13 +163,7 @@ def classify_energy(
 ) -> ZoneClass:
     """Allowed / Forbidden / Edge according to |D| versus 2."""
     d = monodromy(pot, lat, energy).disc
-    if abs(d) < 2.0 - tol_edge:
-        kind = SpectralClass.ALLOWED
-    elif abs(d) > 2.0 + tol_edge:
-        kind = SpectralClass.FORBIDDEN
-    else:
-        kind = SpectralClass.EDGE
-    return ZoneClass(kind=kind, disc=d)
+    return ZoneClass(kind=_zone_kind(d, tol_edge), disc=d)
 
 
 def _bisect(f, lo, hi, f_lo, tol):
@@ -231,11 +234,9 @@ def _classify_zone(disc, lo, hi, tol_edge):
     """Zone class from probe points, stepping aside if a probe hits an edge."""
     width = hi - lo
     for frac in (0.5, 0.25, 0.75, 0.4, 0.6):
-        d = disc(lo + frac * width)
-        if abs(d) < 2.0 - tol_edge:
-            return SpectralClass.ALLOWED
-        if abs(d) > 2.0 + tol_edge:
-            return SpectralClass.FORBIDDEN
+        kind = _zone_kind(disc(lo + frac * width), tol_edge)
+        if kind != SpectralClass.EDGE:
+            return kind
     return SpectralClass.ALLOWED if abs(disc(lo + 0.5 * width)) <= 2.0 else SpectralClass.FORBIDDEN
 
 
@@ -407,7 +408,10 @@ def floquet_multipliers(
 ) -> FloquetPair:
     """Multipliers and eigen-directions of the period map at one energy."""
     table = validate_potential(pot, lat)
-    mono = _period_map(table, energy)
+    return _multipliers(table, _period_map(table, energy), energy, tol_edge)
+
+
+def _multipliers(table, mono, energy, tol_edge):
     d = mono.disc
     if abs(abs(d) - 2.0) <= tol_edge:
         lam = d / 2.0

@@ -23,6 +23,7 @@ the same ell, which keeps neighbour ratios exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -103,7 +104,8 @@ class CoefficientTable:
 
     Site n uses phase r = n mod m: a(n) = alpha_r(E) = (c[r] - E) / h[r] and
     b(n) = beta[r] = -h[r-1] / h[r], with c = 2/d^2 + v and h = 1/d^2 - u.
-    Built by validate_potential, which guarantees every h[r] is usable.
+    Built by validate_potential, which guarantees every h[r] is usable and
+    every coefficient finite.
     """
 
     c: tuple
@@ -161,10 +163,13 @@ class SolutionTrace:
         """
         # math.exp, not np.exp: numpy's vectorised exp can round differently
         # in the last bit, and ratios built on these values are written out.
-        step = np.diff(self.ell).tolist()
-        below = self.s[:-1] * np.array([math.exp(-x) for x in step])
-        above = self.s[1:] * np.array([math.exp(x) for x in step])
-        return below, above
+        # Only rescale events change ell; everywhere else the factor is 1.0.
+        step = np.diff(self.ell)
+        jumps = np.flatnonzero(step)
+        down, up = np.ones(len(step)), np.ones(len(step))
+        down[jumps] = [math.exp(-x) for x in step[jumps].tolist()]
+        up[jumps] = [math.exp(x) for x in step[jumps].tolist()]
+        return self.s[:-1] * down, self.s[1:] * up
 
     def reconstructed(self, clamp: float | None = None) -> np.ndarray:
         """psi values as plain floats, optionally clamped to +-clamp.
@@ -182,24 +187,37 @@ class SolutionTrace:
 
 
 def validate_potential(pot: PeriodicPotential, lat: LatticeSpec) -> CoefficientTable:
-    """Reject hopping that degenerates or changes sign; return the step table."""
+    """Check the operator and return its step table.
+
+    Rejects hopping that degenerates or changes sign, and coefficients that
+    are not finite (a lattice step so small that 2/d^2 overflows).
+    """
     inv = lat.inv_step_sq
-    h = tuple(inv - u for u in pot.u)
-    for r, hr in enumerate(h):
-        if abs(hr) < HOPPING_EPSILON:
-            raise HoppingDegenerateError(
-                f"hopping degenerate at site phase {r}: |1/d^2 - u| = {abs(hr):.3g} "
-                f"< {HOPPING_EPSILON:g}"
-            )
-    if any(hr * h[0] < 0.0 for hr in h[1:]):
+    h = tuple([inv - u for u in pot.u])
+    if min(map(abs, h)) < HOPPING_EPSILON:
+        r = next(r for r, hr in enumerate(h) if abs(hr) < HOPPING_EPSILON)
+        raise HoppingDegenerateError(
+            f"hopping degenerate at site phase {r}: |1/d^2 - u| = {abs(h[r]):.3g} "
+            f"< {HOPPING_EPSILON:g}"
+        )
+    # No h is zero here, so a sign change shows as min(h) < 0 < max(h).
+    if min(h) < 0.0 < max(h):
         raise HoppingDegenerateError(
             "effective hopping changes sign across the period"
         )
-    return CoefficientTable(
-        c=tuple(2.0 * inv + v for v in pot.v),
+    table = CoefficientTable(
+        c=tuple([2.0 * inv + v for v in pot.v]),
         h=h,
-        beta=tuple(-h[r - 1] / h[r] for r in range(pot.m)),
+        beta=tuple([-a / b for a, b in zip(h[-1:] + h[:-1], h)]),
     )
+    values = table.c + h + table.beta
+    if not all(map(math.isfinite, values)):
+        k = next(k for k, x in enumerate(values) if not math.isfinite(x))
+        raise ValueError(
+            f"step coefficient {('c', 'h', 'beta')[k // pot.m]}[{k % pot.m}] = {values[k]} "
+            f"is not finite (lattice step {lat.delta!r})"
+        )
+    return table
 
 
 def propagate(
@@ -218,28 +236,29 @@ def propagate(
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
     table = validate_potential(pot, lat)
-    m = table.m
-    alpha = [table.alpha(r, energy) for r in range(m)]
-    beta = table.beta
+    phases = [(table.alpha(r, energy), table.beta[r]) for r in range(table.m)]
+    # (a(n), b(n)) for n = 1 .. n_sites - 1
+    steps = itertools.islice(itertools.cycle(phases), 1, n_sites)
+    hi, lo = RESCALE_LIMIT, 1.0 / RESCALE_LIMIT
 
-    s = np.empty(n_sites + 1)
-    ell = np.empty(n_sites + 1)
     p_prev, p_cur = float(ic.psi0), float(ic.psi1)
     offset = 0.0
-    s[0], ell[0] = p_prev, 0.0
-    s[1], ell[1] = p_cur, 0.0
-    for n in range(1, n_sites):
-        r = n % m
-        p_next = alpha[r] * p_cur + beta[r] * p_prev
-        mx = max(abs(p_cur), abs(p_next))
-        if mx > RESCALE_LIMIT or 0.0 < mx < 1.0 / RESCALE_LIMIT:
+    s, ell = [p_prev, p_cur], [0.0, 0.0]
+    for a, b in steps:
+        p_next = a * p_cur + b * p_prev
+        mx = abs(p_cur)
+        if abs(p_next) > mx:
+            mx = abs(p_next)
+        if mx > hi or 0.0 < mx < lo:
             p_cur /= mx
             p_next /= mx
             offset += math.log(mx)
-        s[n + 1] = p_next
-        ell[n + 1] = offset
+        s.append(p_next)
+        ell.append(offset)
         p_prev, p_cur = p_cur, p_next
-    return SolutionTrace(energy=energy, ic=ic, n_sites=n_sites, s=s, ell=ell)
+    return SolutionTrace(
+        energy=energy, ic=ic, n_sites=n_sites, s=np.array(s), ell=np.array(ell)
+    )
 
 
 def stagger(trace: SolutionTrace, lat: LatticeSpec = LatticeSpec()) -> SolutionTrace:

@@ -22,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import SpectralClass, bloch_phase, classify_energy, floquet_multipliers
+from .bands import (
+    TOL_EDGE,
+    SpectralClass,
+    _multipliers,
+    _period_map,
+    _zone_kind,
+    bloch_phase,
+    classify_energy,
+)
 from .core import (
     InitialCondition,
     LatticeSpec,
@@ -134,21 +142,22 @@ def floquet_solution(
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
-    zc = classify_energy(pot, lat, energy)
-    if zc.kind == SpectralClass.EDGE:
+    table = validate_potential(pot, lat)
+    mono = _period_map(table, energy)
+    kind = _zone_kind(mono.disc, TOL_EDGE)
+    if kind == SpectralClass.EDGE:
         raise DegenerateEdgeError(
-            f"multipliers coincide at energy {energy} (D = {zc.disc:.6g})"
+            f"multipliers coincide at energy {energy} (D = {mono.disc:.6g})"
         )
-    if zc.kind == SpectralClass.ALLOWED:
+    if kind == SpectralClass.ALLOWED:
         raise NotForbiddenError(
-            f"energy {energy} lies in an allowed zone (D = {zc.disc:.6g}); "
+            f"energy {energy} lies in an allowed zone (D = {mono.disc:.6g}); "
             "fundamental gap solutions need |D| > 2"
         )
-    pair = floquet_multipliers(pot, lat, energy)
+    pair = _multipliers(table, mono, energy, TOL_EDGE)
     lam, direction = select_branch(pair, branch)
     lam = float(lam.real) if isinstance(lam, complex) else float(lam)
 
-    table = validate_potential(pot, lat)
     m = table.m
     base = np.empty(m + 2)
     if abs(lam) >= 1.0:
@@ -203,7 +212,7 @@ def knot_periodicity_residual(knot_list: KnotList, m: int) -> float:
     knot; if the windows do not all hold the same number of knots the pattern
     is aperiodic and +inf is returned.
     """
-    xs = knot_list.positions
+    xs = np.array(knot_list.positions, dtype=float)
     if len(xs) == 0:
         return 0.0
     anchor = xs[0] - _KNOT_WINDOW_PAD
@@ -211,17 +220,12 @@ def knot_periodicity_residual(knot_list: KnotList, m: int) -> float:
     n_windows = int(span // m)
     if n_windows < 1:
         return math.inf
-    counts = [0] * n_windows
-    for x in xs:
-        idx = int((x - anchor) // m)
-        if idx < n_windows:
-            counts[idx] += 1
-    k = counts[0]
-    if any(c != k for c in counts):
+    window = ((xs - anchor) // m).astype(int)
+    counts = np.bincount(window[window < n_windows], minlength=n_windows)
+    k = int(counts[0])
+    if np.any(counts != k) or k == 0 or len(xs) <= k:
         return math.inf
-    if k == 0 or len(xs) <= k:
-        return math.inf
-    return max(abs(xs[j + k] - xs[j] - m) for j in range(len(xs) - k))
+    return float(np.max(np.abs(xs[k:] - xs[:-k] - m)))
 
 
 def ratio_sequence(trace: SolutionTrace) -> np.ndarray:
@@ -309,11 +313,8 @@ def envelope(trace: SolutionTrace, period: int):
     """
     w = max(period, 2)
     la = trace.log_abs()
-    positions, values = [], []
-    for start in range(0, len(la) - w + 1, w):
-        positions.append(start + 0.5 * (w - 1))
-        values.append(float(np.max(la[start : start + w])))
-    return np.asarray(positions), np.asarray(values)
+    k = len(la) // w
+    return np.arange(k) * w + 0.5 * (w - 1), la[: k * w].reshape(k, w).max(axis=1)
 
 
 def tail_growth_rate(

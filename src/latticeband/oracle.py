@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import BandDiagram, SpectralClass, find_band_edges
+from .bands import (
+    DEFAULT_GRID_POINTS,
+    DEFAULT_ROOT_TOL,
+    BandDiagram,
+    SpectralClass,
+    find_band_edges,
+)
 from .core import HOPPING_EPSILON, LatticeSpec, PeriodicPotential, validate_potential
 from .errors import ValidationMismatchError
 
@@ -127,6 +133,8 @@ def cross_validate(
     pot: PeriodicPotential,
     lat: LatticeSpec,
     margin: float = DEFAULT_MARGIN,
+    grid_points: int = DEFAULT_GRID_POINTS,
+    tol: float = DEFAULT_ROOT_TOL,
 ) -> ValidationReport:
     """Check every zone of a diagram against the counting oracle.
 
@@ -141,10 +149,15 @@ def cross_validate(
     MAX_EDGE_STATES, and Band otherwise; it must be Band inside claimed
     allowed zones and Gap inside claimed forbidden ones. Raises
     ValidationMismatchError (carrying the full report) if any segment fails.
+    grid_points and tol drive the edge recomputation; pass the ones that
+    built the diagram, or edges found to a coarser tol leave slivers that
+    read Gap inside claimed bands.
     """
     if margin <= 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
-    recomputed = find_band_edges(pot, lat, diagram.e_lo, diagram.e_hi)
+    recomputed = find_band_edges(
+        pot, lat, diagram.e_lo, diagram.e_hi, grid_points=grid_points, tol=tol
+    )
     bounds = [diagram.e_lo] + [z.hi for z in diagram.zones]
     cuts = []
     for x in sorted(recomputed.edge_energies()):

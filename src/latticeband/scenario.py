@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
 
 from . import bands, floquet, oracle
@@ -376,16 +377,6 @@ def scenario_hash(s: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(s).encode("utf-8")).hexdigest()
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _energy_label(energy: float, used: set) -> str:
     label = f"E{energy:g}"
     candidate = label
@@ -400,8 +391,7 @@ def _energy_label(energy: float, used: set) -> str:
 def _trace_rows(trace) -> tuple:
     recon = trace.reconstructed(clamp=CLAMP)
     return tuple(
-        (n, float(trace.s[n]), float(trace.ell[n]), float(recon[n]))
-        for n in range(trace.n_sites + 1)
+        zip(range(trace.n_sites + 1), trace.s.tolist(), trace.ell.tolist(), recon.tolist())
     )
 
 
@@ -483,9 +473,9 @@ def _run_effective(s):
         trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
         profile = floquet.effective_potential(trace, pot, lat)
         residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
+        n = len(profile.w)
         rows = tuple(
-            (n, float(profile.w[n]), bool(profile.defined[n]), float(residual))
-            for n in range(len(profile.w))
+            zip(range(n), profile.w.tolist(), profile.defined.tolist(), [float(residual)] * n)
         )
         series.append(
             ReportSeries(
@@ -554,7 +544,9 @@ def _run_validate(s, scan):
             tol_edge=scan.tol_edge,
         )
     try:
-        report = oracle.cross_validate(diagram, pot, lat, margin=scan.margin)
+        report = oracle.cross_validate(
+            diagram, pot, lat, scan.margin, grid_points=scan.grid_points, tol=scan.root_tol
+        )
         ok = True
     except ValidationMismatchError as exc:
         report = exc.report
@@ -622,9 +614,32 @@ def run_scenario(
     )
 
 
+def _conversion(kind: type) -> str:
+    """printf conversion for one value type: %.17g floats, %d ints and bools."""
+    if issubclass(kind, float):
+        return "%.17g"
+    if issubclass(kind, int):
+        return "%d"
+    return "%s"
+
+
 def _write_csv(path: Path, columns, rows) -> None:
+    """Write a header and one line per row tuple, all through one template.
+
+    Each column's conversion follows the type of its values. A column that
+    mixes types is turned into text value by value first, so every value
+    prints as its own type would.
+    """
+    conversions = []
+    for j in range(len(columns)):
+        kinds = set(map(type, map(itemgetter(j), rows)))
+        if len(kinds) > 1:
+            rows = [r[:j] + (_conversion(type(r[j])) % r[j],) + r[j + 1 :] for r in rows]
+            kinds = {str}
+        conversions.append(_conversion(next(iter(kinds), str)))
+    template = ",".join(conversions)
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(value) for value in row) for row in rows)
+    lines.extend(template % row for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

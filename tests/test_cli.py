@@ -68,6 +68,19 @@ def test_validate_subcommand(tmp_path):
     assert all(line.endswith(",1") for line in report[1:])
 
 
+def test_validate_rechecks_with_the_diagram_tolerance(tmp_path):
+    # edges bisected to 1e-4 are recomputed to 1e-4 as well, so no sliver
+    # between a coarse edge and a fine one is judged as a zone of its own
+    cp = run_cli(
+        "validate", SCENARIO_DIR / "band_scan_period2.scenario", "--out", tmp_path,
+        "--tol", "1e-4",
+    )
+    assert cp.returncode == 0, cp.stderr
+    report = (tmp_path / "validate_report.csv").read_text().splitlines()
+    assert len(report) == 6
+    assert all(line.endswith(",1") for line in report[1:])
+
+
 def test_validate_needs_scan_range(tmp_path):
     bad = tmp_path / "list.scenario"
     bad.write_text('{"kind": "trace", "energies": [1.0], "ic": [0, 1]}')
@@ -103,10 +116,11 @@ REVERSED = '"energies": {"from": 5, "to": -1, "count": 3}'
         ("run", '{"kind": "trace", "energies": [1%s], "ic": [0, 1]}' % ("0" * 400)),
         ("run", '{"kind": "trace", "energies": [1.0], "ic": [0, 1], "n_sites": 1000001}'),
         ("run", '{"kind": "validate", %s, "claimed_edges": [6.0]}' % RANGE),
+        ("run", '{"kind": "band-scan", "delta": 1e-154, %s}' % RANGE),
     ],
     ids=[
         "angles", "margin", "reversed-range", "empty-range", "validate-reversed-range",
-        "huge-int", "n-sites", "claimed-outside-range",
+        "huge-int", "n-sites", "claimed-outside-range", "overflowing-step",
     ],
 )
 def test_bad_field_is_config_error(tmp_path, command, doc):

@@ -58,6 +58,18 @@ class TestTypes:
         with pytest.raises(HoppingDegenerateError):
             validate_potential(PeriodicPotential(v=(0.0,), u=(1.0,)), LAT)
 
+    @pytest.mark.parametrize(
+        "pot,delta,name",
+        [
+            (FREE, 1e-154, r"c\[0\]"),  # 1/d^2 = 1e308 is finite, 2/d^2 is not
+            (PeriodicPotential(v=(-1.0, 0.0), u=(0.0, -1e308)), 0.8e308**-0.5, r"h\[1\]"),
+            (PeriodicPotential(v=(0.0, 0.0), u=(1.0 - 1e-8, -1e308)), 1.0, r"beta\[0\]"),
+        ],
+    )
+    def test_overflowing_coefficients_rejected(self, pot, delta, name):
+        with pytest.raises(ValueError, match=name + " = (-)?inf is not finite"):
+            validate_potential(pot, LatticeSpec(delta=delta))
+
     def test_mixed_sign_hopping_rejected(self):
         with pytest.raises(HoppingDegenerateError):
             validate_potential(PeriodicPotential(v=(0.0, 0.0), u=(0.5, 1.5)), LAT)

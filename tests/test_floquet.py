@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import latticeband
 from latticeband import (
     RESIDUAL_TOLERANCE,
     DegenerateEdgeError,
     InitialCondition,
     InsufficientDataError,
+    KnotList,
     LatticeSpec,
     NotForbiddenError,
     OutsideAllowedZoneError,
@@ -18,6 +20,7 @@ from latticeband import (
     effective_consistency_residual,
     effective_potential,
     effective_potential_periodicity_residual,
+    envelope,
     find_band_edges,
     floquet_multipliers,
     floquet_solution,
@@ -88,6 +91,21 @@ class TestFloquetSolution:
                     continue
                 trace = floquet_solution(pot, LAT, 0.5 * (z.lo + z.hi), "decaying", 3 * m)
                 assert recurrence_residual(trace, pot, LAT) <= RESIDUAL_TOLERANCE
+
+    def test_validates_potential_once(self, monkeypatch):
+        calls = []
+        validate = latticeband.core.validate_potential
+
+        def counting(pot, lat):
+            calls.append(1)
+            return validate(pot, lat)
+
+        for module in (latticeband.core, latticeband.bands, latticeband.floquet):
+            monkeypatch.setattr(module, "validate_potential", counting)
+        for branch in ("growing", "decaying"):
+            calls.clear()
+            floquet_solution(MIXED, LAT, 2.0, branch, 40)
+            assert len(calls) == 1
 
     def test_allowed_energy_rejected(self):
         with pytest.raises(NotForbiddenError):
@@ -330,3 +348,61 @@ class TestArrayFormsMatchSiteLoops:
             down = trace.s[n - 1] * math.exp(trace.ell[n - 1] - trace.ell[n]) / trace.s[n]
             w = MIXED.v_at(n) + MIXED.u_at(n) * up + MIXED.u_at(n - 1) * down
             assert profile.w[n] == w
+
+    def test_neighbours(self, trace):
+        below, above = trace.neighbours()
+        step = [trace.ell[k + 1] - trace.ell[k] for k in range(trace.n_sites)]
+        expected_below = [trace.s[k] * math.exp(-x) for k, x in enumerate(step)]
+        expected_above = [trace.s[k + 1] * math.exp(x) for k, x in enumerate(step)]
+        assert below.tobytes() == np.array(expected_below).tobytes()
+        assert above.tobytes() == np.array(expected_above).tobytes()
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, 400])
+    def test_envelope(self, trace, period):
+        w = max(period, 2)
+        la = trace.log_abs()
+        positions, values = [], []
+        for start in range(0, len(la) - w + 1, w):
+            positions.append(start + 0.5 * (w - 1))
+            values.append(float(np.max(la[start : start + w])))
+        got_positions, got_values = envelope(trace, period)
+        assert got_positions.tobytes() == np.asarray(positions, dtype=float).tobytes()
+        assert got_values.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+def loop_knot_periodicity_residual(xs, m):
+    """knot_periodicity_residual with one Python step per knot and window."""
+    if len(xs) == 0:
+        return 0.0
+    anchor = xs[0] - 1e-6
+    n_windows = int((xs[-1] - anchor) // m)
+    if n_windows < 1:
+        return math.inf
+    counts = [0] * n_windows
+    for x in xs:
+        idx = int((x - anchor) // m)
+        if idx < n_windows:
+            counts[idx] += 1
+    k = counts[0]
+    if any(c != k for c in counts) or k == 0 or len(xs) <= k:
+        return math.inf
+    return max(abs(xs[j + k] - xs[j] - m) for j in range(len(xs) - k))
+
+
+def test_knot_periodicity_residual_matches_loop():
+    rng = np.random.default_rng(7)
+    lists = [(), (0.5,), (0.5, 1.5), (0.25, 0.75, 2.25, 2.75, 4.25, 4.74)]
+    for m in (1, 2, 3):
+        base = np.sort(rng.uniform(0.0, m, 3))
+        for periods in (1, 2, 5, 30):
+            xs = (base + m * np.arange(periods)[:, None]).ravel()
+            lists.append(tuple(xs + rng.normal(0.0, 1e-9, xs.shape)))
+            lists.append(tuple(np.sort(rng.uniform(0.0, m * periods, 3 * periods))))
+    pot_energies = [(P2, 2.0, "growing"), (MIXED, 2.0, "decaying"), (FREE, 5.0, "plus")]
+    for pot, energy, branch in pot_energies:
+        lists.append(knots(floquet_solution(pot, LAT, energy, branch, 300)).positions)
+    lists.append(knots(propagate(MIXED, LAT, 0.5, InitialCondition(1.0, 0.3), 300)).positions)
+    for xs in lists:
+        for m in (1, 2, 3):
+            got = knot_periodicity_residual(KnotList(positions=xs), m)
+            assert got == loop_knot_periodicity_residual(list(xs), m), (xs, m)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latticeband import (
@@ -17,8 +19,10 @@ from latticeband import (
     scenario_hash,
     serialize_scenario,
 )
+from latticeband.scenario import _write_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def make(doc):
@@ -226,3 +230,77 @@ class TestGoldenFig1:
         assert pinned  # the golden directory is populated
         for name in pinned:
             assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+class TestScenarioDigests:
+    def test_bundled_scenarios_match_pinned_digests(self, tmp_path):
+        # golden/scenario_digests.sha256 holds the sha256 of every file each
+        # bundled scenario writes, as "<digest>  <scenario>/<file>" lines
+        # (sha256sum -c reads it from a directory of per-scenario outputs)
+        lines = (GOLDEN_DIR / "scenario_digests.sha256").read_text().splitlines()
+        pinned = {name: digest for digest, name in (line.split() for line in lines)}
+        written = {}
+        for path in sorted(SCENARIO_DIR.glob("*.scenario")):
+            out = tmp_path / path.stem
+            run_scenario(parse_scenario_file(path), out_dir=out)
+            for f in out.iterdir():
+                written[f"{path.stem}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+        assert sorted({name.split("/")[0] for name in pinned}) == sorted(
+            p.stem for p in SCENARIO_DIR.glob("*.scenario")
+        )
+        assert written == pinned
+
+
+def reference_cell(value) -> str:
+    """One CSV cell, formatted value by value."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def reference_csv(columns, rows) -> str:
+    lines = [",".join(columns)]
+    lines.extend(",".join(reference_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1e16, 1e17, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789012345678.0, 2.0**53,
+]
+MIXED_NUMBERS = [1, 2.5, 10**20, 1e16, 2**53 + 1, -0.0, True, -(2**70), 3.0, 0, math.nan, False]
+
+
+class TestWriteCsv:
+    def test_matches_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
+        floats = SPECIAL_FLOATS + bits.view(np.float64).tolist()
+        n = len(floats)
+        columns = {
+            "int": [(-1) ** k * k**5 + (10**20 if k % 7 == 0 else 0) for k in range(n)],
+            "float": floats,
+            "mixed": [MIXED_NUMBERS[k % len(MIXED_NUMBERS)] for k in range(n)],
+            "bool": [k % 3 == 0 for k in range(n)],
+            "str": ["Gap" if k % 2 else "Band" for k in range(n)],
+            "np_float64": [np.float64(x) for x in floats],
+            "np_int64": [np.int64(k * 10**14) for k in range(n)],
+            "float_and_np_float64": [x if k % 2 else np.float64(x) for k, x in enumerate(floats)],
+            "int_and_float": [k if k % 3 else float(k) / 7 for k in range(n)],
+        }
+        rows = tuple(zip(*columns.values()))
+        path = tmp_path / "out.csv"
+        _write_csv(path, tuple(columns), rows)
+        assert path.read_text() == reference_csv(tuple(columns), rows)
+
+    def test_single_column_and_no_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        rows = tuple((x,) for x in MIXED_NUMBERS + SPECIAL_FLOATS)
+        _write_csv(path, ("x",), rows)
+        assert path.read_text() == reference_csv(("x",), rows)
+        _write_csv(path, ("a", "b"), ())
+        assert path.read_text() == "a,b\n"
