@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, NumericalError
-from .scenario import as_validate, parse_scenario_file, run_scenario
+from .scenario import parse_scenario_file, run_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -48,11 +49,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = parse_scenario_file(args.scenario)
-        if args.command == "validate":
-            scenario = as_validate(scenario)
-        result = run_scenario(
-            scenario, out_dir=args.out, grid_points=args.grid, root_tol=args.tol
+        overrides = {"grid_points": args.grid, "root_tol": args.tol}
+        tolerances = replace(
+            scenario.tolerances, **{k: v for k, v in overrides.items() if v is not None}
         )
+        kind = "validate" if args.command == "validate" else scenario.kind
+        # replace re-runs every check, and the manifest hashes what is run
+        scenario = replace(scenario, kind=kind, tolerances=tolerances)
+        result = run_scenario(scenario, out_dir=args.out)
     except ConfigError as exc:
         print(f"latticeband: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -38,17 +39,6 @@ from .core import (
 )
 from .errors import ConfigError, LatticeBandError, ValidationMismatchError
 
-KINDS = (
-    "trace",
-    "band-scan",
-    "fig1",
-    "floquet",
-    "effective",
-    "sweep",
-    "beat",
-    "validate",
-)
-
 # Preset energy list for the fig1 kind: one trace per qualitative regime
 # (growing exponential below the band, linear at the lower edge, sine-like
 # inside, beating near the upper edge, staggered-linear at the upper edge,
@@ -58,6 +48,10 @@ FIG1_ENERGIES = (-0.5, -0.1, 0.0, 0.7, 2.0, 3.9, 4.0, 4.5)
 CLAMP = 1e12
 # Upper bound of every size field: m, n_sites, angles, count, grid_points.
 MAX_SIZE = 10**6
+
+_BRANCHES = ("plus", "minus", "growing", "decaying")
+# Kinds that scan their energies as one {from, to, count} range.
+_RANGE_KINDS = ("band-scan", "validate")
 
 
 @dataclass(frozen=True)
@@ -89,22 +83,64 @@ class Tolerances:
             raise ConfigError(f"root_tol must be positive and finite, got {self.root_tol!r}")
         if not 0.0 < self.margin < math.inf:
             raise ConfigError(f"margin must be positive and finite, got {self.margin!r}")
+        # |D| is compared with 2 - tol_edge and 2 + tol_edge; from 2 on no
+        # energy could be Allowed.
+        if not 0.0 <= self.tol_edge < 2.0:
+            raise ConfigError(f"tol_edge must be in [0, 2), got {self.tol_edge!r}")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One job. Construction, and so every `dataclasses.replace`, checks the
+    fields against each other; `parse_scenario` checks each field's form."""
+
     kind: str
     delta: float = 1.0
     v: tuple = (0.0,)
     u: tuple = (0.0,)
-    energies: object = None  # tuple of floats or EnergyRange
+    energies: object = None  # tuple of floats or EnergyRange; fig1: FIG1_ENERGIES
     n_sites: int = 400
-    ic: tuple = (0.0, 1.0)
+    ic: tuple | None = None  # (psi0, psi1); (0, 1) unless the kind is trace
     angles: int = 180
     branch: str = "growing"
     claimed_edges: tuple | None = None
     out: str = "."
     tolerances: Tolerances = field(default_factory=Tolerances)
+
+    def __post_init__(self):
+        # kind may be any JSON value here, so it is compared, never hashed
+        kind = self.kind
+        if kind not in KINDS:
+            raise ConfigError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
+        if self.energies is None:
+            if kind != "fig1":
+                raise ConfigError(f"kind '{kind}' requires the 'energies' field")
+            object.__setattr__(self, "energies", FIG1_ENERGIES)
+        if self.ic is None:
+            if kind == "trace":
+                raise ConfigError("kind 'trace' requires the 'ic' field")
+            object.__setattr__(self, "ic", (0.0, 1.0))
+        energies = self.energies
+        if kind in _RANGE_KINDS:
+            if not isinstance(energies, EnergyRange):
+                raise ConfigError(f"kind '{kind}' requires energies as a {{from, to, count}} range")
+            if not energies.start < energies.stop:
+                raise ConfigError(
+                    f"kind '{kind}' needs energies.from < energies.to, "
+                    f"got {energies.start!r} and {energies.stop!r}"
+                )
+        if self.claimed_edges is not None:
+            if kind != "validate":
+                raise ConfigError("field 'claimed_edges' only applies to the validate kind")
+            if not all(energies.start < e < energies.stop for e in self.claimed_edges):
+                raise ConfigError("claimed_edges must lie strictly inside the energies range")
+        # Surface operator-level problems (degenerate hopping, zero ic) as config
+        # errors with the offending field visible.
+        try:
+            validate_potential(self.potential(), self.lattice())
+            InitialCondition(*self.ic)
+        except (LatticeBandError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     @property
     def m(self) -> int:
@@ -137,23 +173,7 @@ class RunResult:
     validation_ok: bool | None
 
 
-_KNOWN_KEYS = {
-    "kind",
-    "delta",
-    "m",
-    "v",
-    "u",
-    "energies",
-    "n_sites",
-    "ic",
-    "angles",
-    "branch",
-    "claimed_edges",
-    "out",
-    "tolerances",
-}
-_RANGE_KINDS = ("band-scan", "validate")
-_ENERGY_KINDS = ("trace", "band-scan", "floquet", "effective", "sweep", "beat", "validate")
+# Field parsers: each takes a JSON value and the field's dotted name.
 
 
 def _number(value, name):
@@ -182,155 +202,123 @@ def _number_list(value, name):
     return tuple(_number(x, name) for x in value)
 
 
-def _parse_energies(value):
+def _string(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(f"field '{name}' must be a string")
+    return value
+
+
+def _branch(value, name):
+    if value not in _BRANCHES:
+        raise ConfigError(f"unknown branch {value!r}")
+    return value
+
+
+def _nullable(parse):
+    """Let null through, as for m, v and u: the given ones size the others."""
+    return lambda value, name: None if value is None else parse(value, name)
+
+
+def _record(value, parsers, prefix, unknown, whole=None):
+    """Parse one JSON object key by key, in the order of `parsers`.
+
+    A key without a parser is an error, and so is a missing key when the
+    object must be `whole`.
+    """
+    extra = set(value) - set(parsers)
+    if extra:
+        raise ConfigError(f"unknown {unknown}: {sorted(extra)}")
+    missing = [key for key in parsers if key not in value]
+    if whole and missing:
+        raise ConfigError(f"{whole} is missing '{missing[0]}'")
+    return {key: parse(value[key], prefix + key) for key, parse in parsers.items() if key in value}
+
+
+_RANGE_KEYS = {"from": _number, "to": _number, "count": _integer}
+_IC_KEYS = {"psi0": _number, "psi1": _number}
+_TOLERANCE_KEYS = {f.name: _integer if f.type == "int" else _number for f in fields(Tolerances)}
+
+
+def _parse_energies(value, name):
     if isinstance(value, list):
-        return _number_list(value, "energies")
-    if isinstance(value, dict):
-        extra = set(value) - {"from", "to", "count"}
-        if extra:
-            raise ConfigError(f"unknown keys in energies range: {sorted(extra)}")
-        for key in ("from", "to", "count"):
-            if key not in value:
-                raise ConfigError(f"energies range is missing '{key}'")
-        return EnergyRange(
-            start=_number(value["from"], "energies.from"),
-            stop=_number(value["to"], "energies.to"),
-            count=_integer(value["count"], "energies.count"),
-        )
-    raise ConfigError("field 'energies' must be an array or a {from, to, count} object")
+        return _number_list(value, name)
+    if not isinstance(value, dict):
+        raise ConfigError("field 'energies' must be an array or a {from, to, count} object")
+    parts = _record(value, _RANGE_KEYS, "energies.", "keys in energies range", "energies range")
+    return EnergyRange(*parts.values())
 
 
-def _check_scan_range(energies, kind):
-    if not isinstance(energies, EnergyRange):
-        raise ConfigError(f"kind '{kind}' requires energies as a {{from, to, count}} range")
-    if not energies.start < energies.stop:
-        raise ConfigError(
-            f"kind '{kind}' needs energies.from < energies.to, "
-            f"got {energies.start!r} and {energies.stop!r}"
-        )
-
-
-def _parse_ic(value):
-    if isinstance(value, dict):
-        extra = set(value) - {"psi0", "psi1"}
-        if extra:
-            raise ConfigError(f"unknown keys in ic: {sorted(extra)}")
-        try:
-            return (_number(value["psi0"], "ic.psi0"), _number(value["psi1"], "ic.psi1"))
-        except KeyError as exc:
-            raise ConfigError(f"ic is missing {exc}") from None
+def _parse_ic(value, name):
     if isinstance(value, list) and len(value) == 2:
-        return (_number(value[0], "ic"), _number(value[1], "ic"))
-    raise ConfigError("field 'ic' must be {psi0, psi1} or a two-element array")
+        return (_number(value[0], name), _number(value[1], name))
+    if not isinstance(value, dict):
+        raise ConfigError("field 'ic' must be {psi0, psi1} or a two-element array")
+    return tuple(_record(value, _IC_KEYS, "ic.", "keys in ic", "ic").values())
 
 
-def _parse_tolerances(value):
+def _parse_tolerances(value, name):
     if not isinstance(value, dict):
         raise ConfigError("field 'tolerances' must be an object")
-    defaults = Tolerances()
-    extra = set(value) - {"tol_edge", "root_tol", "grid_points", "margin"}
-    if extra:
-        raise ConfigError(f"unknown tolerance keys: {sorted(extra)}")
-    return Tolerances(
-        tol_edge=_number(value.get("tol_edge", defaults.tol_edge), "tolerances.tol_edge"),
-        root_tol=_number(value.get("root_tol", defaults.root_tol), "tolerances.root_tol"),
-        grid_points=_integer(
-            value.get("grid_points", defaults.grid_points), "tolerances.grid_points"
-        ),
-        margin=_number(value.get("margin", defaults.margin), "tolerances.margin"),
-    )
+    return Tolerances(**_record(value, _TOLERANCE_KEYS, "tolerances.", "tolerance keys"))
+
+
+# The schema: one parser per document key, in canonical order. A key left
+# out takes the Scenario default; "m" only sizes v and u. Scenario itself
+# checks kind and everything that relates two fields.
+_FIELDS = {
+    "kind": lambda value, name: value,
+    "delta": _number,
+    "m": _nullable(_integer),
+    "v": _nullable(_number_list),
+    "u": _nullable(_number_list),
+    "energies": _parse_energies,
+    "n_sites": partial(_integer, lo=2),
+    "ic": _parse_ic,
+    "angles": partial(_integer, lo=floquet.MIN_ANGLES),
+    "branch": _branch,
+    "claimed_edges": _number_list,
+    "out": _string,
+    "tolerances": _parse_tolerances,
+}
+# JSON form of the values not written as they are stored.
+_DUMPS = {
+    "energies": lambda e: dict(zip(_RANGE_KEYS, astuple(e))) if isinstance(e, EnergyRange) else e,
+    "ic": lambda ic: dict(zip(_IC_KEYS, ic)),
+    "tolerances": asdict,
+}
+
+
+def _unique_keys(pairs):
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate one scenario document."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"scenario is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from None
     if not isinstance(raw, dict):
         raise ConfigError("scenario must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scenario fields: {sorted(unknown)}")
-    if "kind" not in raw:
+    doc = _record(raw, _FIELDS, "", "scenario fields")
+    if "kind" not in doc:
         raise ConfigError("missing required field 'kind'")
-    kind = raw["kind"]
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; expected one of {', '.join(KINDS)}")
-
-    delta = _number(raw.get("delta", 1.0), "delta")
-
-    m_given = raw.get("m")
-    v_given = raw.get("v")
-    u_given = raw.get("u")
-    if m_given is not None:
-        m_given = _integer(m_given, "m")
-    v = _number_list(v_given, "v") if v_given is not None else None
-    u = _number_list(u_given, "u") if u_given is not None else None
-    m = m_given or (len(v) if v is not None else None) or (len(u) if u is not None else None) or 1
-    if v is None:
-        v = (0.0,) * m
-    if u is None:
-        u = (0.0,) * m
+    # v, u and m size one another; what none of them gives is zeros, m = 1
+    m = doc.pop("m", None) or len(doc.get("v") or doc.get("u") or (0.0,))
+    v = doc["v"] = doc.get("v") or (0.0,) * m
+    u = doc["u"] = doc.get("u") or (0.0,) * m
     if len(v) != m or len(u) != m:
         raise ConfigError(
             f"inconsistent potential: m = {m}, len(v) = {len(v)}, len(u) = {len(u)}"
         )
-
-    if kind in _ENERGY_KINDS and "energies" not in raw:
-        raise ConfigError(f"kind '{kind}' requires the 'energies' field")
-    if kind == "trace" and "ic" not in raw:
-        raise ConfigError("kind 'trace' requires the 'ic' field")
-    energies = _parse_energies(raw["energies"]) if "energies" in raw else None
-    if kind == "fig1" and energies is None:
-        energies = FIG1_ENERGIES
-    if kind in _RANGE_KINDS:
-        _check_scan_range(energies, kind)
-
-    n_sites = _integer(raw.get("n_sites", 400), "n_sites", lo=2)
-    ic = _parse_ic(raw["ic"]) if "ic" in raw else (0.0, 1.0)
-    angles = _integer(raw.get("angles", 180), "angles", lo=floquet.MIN_ANGLES)
-    branch = raw.get("branch", "growing")
-    if branch not in ("plus", "minus", "growing", "decaying"):
-        raise ConfigError(f"unknown branch {branch!r}")
-    claimed = (
-        _number_list(raw["claimed_edges"], "claimed_edges")
-        if "claimed_edges" in raw
-        else None
-    )
-    if claimed is not None and kind != "validate":
-        raise ConfigError("field 'claimed_edges' only applies to the validate kind")
-    if claimed is not None and not all(energies.start < e < energies.stop for e in claimed):
-        raise ConfigError("claimed_edges must lie strictly inside the energies range")
-    out = raw.get("out", ".")
-    if not isinstance(out, str):
-        raise ConfigError("field 'out' must be a string")
-    tolerances = _parse_tolerances(raw.get("tolerances", {}))
-
-    scenario = Scenario(
-        kind=kind,
-        delta=delta,
-        v=v,
-        u=u,
-        energies=energies,
-        n_sites=n_sites,
-        ic=ic,
-        angles=angles,
-        branch=branch,
-        claimed_edges=claimed,
-        out=out,
-        tolerances=tolerances,
-    )
-    # Surface operator-level problems (degenerate hopping, zero ic) as config
-    # errors with the offending field visible.
-    try:
-        validate_potential(scenario.potential(), scenario.lattice())
-        InitialCondition(*scenario.ic)
-    except (LatticeBandError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return scenario
+    return Scenario(**doc)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -342,34 +330,11 @@ def parse_scenario_file(path) -> Scenario:
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical text form; parse_scenario(serialize_scenario(s)) == s."""
-    doc = {
-        "kind": s.kind,
-        "delta": s.delta,
-        "m": s.m,
-        "v": list(s.v),
-        "u": list(s.u),
-    }
-    if isinstance(s.energies, EnergyRange):
-        doc["energies"] = {
-            "from": s.energies.start,
-            "to": s.energies.stop,
-            "count": s.energies.count,
-        }
-    elif s.energies is not None:
-        doc["energies"] = list(s.energies)
-    doc["n_sites"] = s.n_sites
-    doc["ic"] = {"psi0": s.ic[0], "psi1": s.ic[1]}
-    doc["angles"] = s.angles
-    doc["branch"] = s.branch
-    if s.claimed_edges is not None:
-        doc["claimed_edges"] = list(s.claimed_edges)
-    doc["out"] = s.out
-    doc["tolerances"] = {
-        "tol_edge": s.tolerances.tol_edge,
-        "root_tol": s.tolerances.root_tol,
-        "grid_points": s.tolerances.grid_points,
-        "margin": s.tolerances.margin,
-    }
+    doc = {}
+    for name in _FIELDS:
+        value = getattr(s, name)
+        if value is not None:
+            doc[name] = _DUMPS.get(name, lambda x: x)(value)
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -398,42 +363,86 @@ def _trace_rows(trace) -> tuple:
 _TRACE_COLUMNS = ("n", "psi_scaled", "log_amp", "psi_reconstructed_clamped")
 
 
-def _run_trace(s, kind_label):
-    pot, lat = s.potential(), s.lattice()
+# Row functions of the per-energy kinds: (scenario, energy) -> rows.
+
+
+def _trace(s, energy):
     ic = InitialCondition(*s.ic)
-    used = set()
-    series = []
-    for energy in s.energy_list():
-        trace = propagate(pot, lat, energy, ic, s.n_sites)
-        series.append(
-            ReportSeries(
-                name=f"{kind_label}_{_energy_label(energy, used)}",
-                columns=_TRACE_COLUMNS,
-                rows=_trace_rows(trace),
-            )
-        )
-    return series
+    return _trace_rows(propagate(s.potential(), s.lattice(), energy, ic, s.n_sites))
 
 
-def _run_band_scan(s, scan):
+def _floquet(s, energy):
+    pot, lat = s.potential(), s.lattice()
+    trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
+    pair = bands.floquet_multipliers(pot, lat, energy)
+    lam, _ = floquet.select_branch(pair, s.branch)
+    knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), pot.m)
+    ratio_res = floquet.ratio_periodicity_residual(trace, pot.m)
+    extras = (float(lam), pair.kappa_site, float(knot_res), float(ratio_res))
+    return tuple(row + extras for row in _trace_rows(trace))
+
+
+def _effective(s, energy):
+    pot, lat = s.potential(), s.lattice()
+    trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
+    profile = floquet.effective_potential(trace, pot, lat)
+    residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
+    n = len(profile.w)
+    return tuple(
+        zip(range(n), profile.w.tolist(), profile.defined.tolist(), [float(residual)] * n)
+    )
+
+
+def _sweep(s, energy):
+    result = floquet.ic_sweep(s.potential(), s.lattice(), energy, s.angles, s.n_sites)
+    return tuple(zip(result.alphas, result.growths))
+
+
+def _beat(s, energy):
+    pot, lat = s.potential(), s.lattice()
+    trace = propagate(pot, lat, energy, InitialCondition(*s.ic), s.n_sites)
+    est = floquet.beat_estimate(trace, pot, lat)
+    return tuple((pos, est.l_est, est.l_pred) for pos in est.minima_positions)
+
+
+def _per_energy(columns, rows_at):
+    """Runner writing one <kind>_<label> series of rows_at(s, energy) per energy."""
+
+    def run(s):
+        used = set()
+        series = [
+            ReportSeries(f"{s.kind}_{_energy_label(energy, used)}", columns, rows_at(s, energy))
+            for energy in s.energy_list()
+        ]
+        return series, None
+
+    return run
+
+
+def _band_diagram(s):
+    tol = s.tolerances
+    return bands.find_band_edges(
+        s.potential(),
+        s.lattice(),
+        s.energies.start,
+        s.energies.stop,
+        grid_points=tol.grid_points,
+        tol=tol.root_tol,
+        tol_edge=tol.tol_edge,
+    )
+
+
+def _band_scan(s):
     pot, lat = s.potential(), s.lattice()
     rows = []
     for energy in s.energy_list():
-        zc = bands.classify_energy(pot, lat, energy, tol_edge=scan.tol_edge)
+        zc = bands.classify_energy(pot, lat, energy, tol_edge=s.tolerances.tol_edge)
         rows.append((float(energy), zc.disc, zc.kind.value))
-    diagram = bands.find_band_edges(
-        pot,
-        lat,
-        s.energies.start,
-        s.energies.stop,
-        grid_points=scan.grid_points,
-        tol=scan.root_tol,
-        tol_edge=scan.tol_edge,
-    )
+    diagram = _band_diagram(s)
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy
     )
-    return [
+    series = [
         ReportSeries(name="band-scan_scan", columns=("E", "D", "class"), rows=tuple(rows)),
         ReportSeries(
             name="band-scan_edges",
@@ -441,111 +450,20 @@ def _run_band_scan(s, scan):
             rows=tuple((e.energy, e.level) for e in all_edges),
         ),
     ]
+    return series, None
 
 
-def _run_floquet(s):
-    pot, lat = s.potential(), s.lattice()
-    used = set()
-    series = []
-    for energy in s.energy_list():
-        trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
-        pair = bands.floquet_multipliers(pot, lat, energy)
-        lam, _ = floquet.select_branch(pair, s.branch)
-        knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), pot.m)
-        ratio_res = floquet.ratio_periodicity_residual(trace, pot.m)
-        extras = (float(lam), pair.kappa_site, float(knot_res), float(ratio_res))
-        series.append(
-            ReportSeries(
-                name=f"floquet_{_energy_label(energy, used)}",
-                columns=_TRACE_COLUMNS
-                + ("lambda", "kappa_site", "knot_residual", "ratio_residual"),
-                rows=tuple(row + extras for row in _trace_rows(trace)),
-            )
-        )
-    return series
-
-
-def _run_effective(s):
-    pot, lat = s.potential(), s.lattice()
-    used = set()
-    series = []
-    for energy in s.energy_list():
-        trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
-        profile = floquet.effective_potential(trace, pot, lat)
-        residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
-        n = len(profile.w)
-        rows = tuple(
-            zip(range(n), profile.w.tolist(), profile.defined.tolist(), [float(residual)] * n)
-        )
-        series.append(
-            ReportSeries(
-                name=f"effective_{_energy_label(energy, used)}",
-                columns=("n", "W", "defined_flag", "periodicity_residual"),
-                rows=rows,
-            )
-        )
-    return series
-
-
-def _run_sweep(s):
-    pot, lat = s.potential(), s.lattice()
-    used = set()
-    series = []
-    for energy in s.energy_list():
-        result = floquet.ic_sweep(pot, lat, energy, s.angles, s.n_sites)
-        series.append(
-            ReportSeries(
-                name=f"sweep_{_energy_label(energy, used)}",
-                columns=("alpha", "tail_growth"),
-                rows=tuple(zip(result.alphas, result.growths)),
-            )
-        )
-    return series
-
-
-def _run_beat(s):
-    pot, lat = s.potential(), s.lattice()
-    ic = InitialCondition(*s.ic)
-    used = set()
-    series = []
-    for energy in s.energy_list():
-        trace = propagate(pot, lat, energy, ic, s.n_sites)
-        est = floquet.beat_estimate(trace, pot, lat)
-        rows = tuple((pos, est.l_est, est.l_pred) for pos in est.minima_positions)
-        series.append(
-            ReportSeries(
-                name=f"beat_{_energy_label(energy, used)}",
-                columns=("envelope_min_position", "L_est", "L_pred"),
-                rows=rows,
-            )
-        )
-    return series
-
-
-def _run_validate(s, scan):
-    pot, lat = s.potential(), s.lattice()
-    if s.claimed_edges is not None:
-        diagram = bands.diagram_from_edges(
-            pot,
-            lat,
-            s.energies.start,
-            s.energies.stop,
-            s.claimed_edges,
-            tol_edge=scan.tol_edge,
-        )
+def _validate(s):
+    pot, lat, tol = s.potential(), s.lattice(), s.tolerances
+    if s.claimed_edges is None:
+        diagram = _band_diagram(s)
     else:
-        diagram = bands.find_band_edges(
-            pot,
-            lat,
-            s.energies.start,
-            s.energies.stop,
-            grid_points=scan.grid_points,
-            tol=scan.root_tol,
-            tol_edge=scan.tol_edge,
+        diagram = bands.diagram_from_edges(
+            pot, lat, s.energies.start, s.energies.stop, s.claimed_edges, tol_edge=tol.tol_edge
         )
     try:
         report = oracle.cross_validate(
-            diagram, pot, lat, scan.margin, grid_points=scan.grid_points, tol=scan.root_tol
+            diagram, pot, lat, tol.margin, grid_points=tol.grid_points, tol=tol.root_tol
         )
         ok = True
     except ValidationMismatchError as exc:
@@ -564,35 +482,25 @@ def _run_validate(s, scan):
     return series, ok
 
 
-def run_scenario(
-    s: Scenario,
-    out_dir=None,
-    grid_points: int | None = None,
-    root_tol: float | None = None,
-) -> RunResult:
+# kind -> runner returning (series, validation verdict or None).
+_RUNNERS = {
+    "trace": _per_energy(_TRACE_COLUMNS, _trace),
+    "band-scan": _band_scan,
+    "fig1": _per_energy(_TRACE_COLUMNS, _trace),
+    "floquet": _per_energy(
+        _TRACE_COLUMNS + ("lambda", "kappa_site", "knot_residual", "ratio_residual"), _floquet
+    ),
+    "effective": _per_energy(("n", "W", "defined_flag", "periodicity_residual"), _effective),
+    "sweep": _per_energy(("alpha", "tail_growth"), _sweep),
+    "beat": _per_energy(("envelope_min_position", "L_est", "L_pred"), _beat),
+    "validate": _validate,
+}
+KINDS = tuple(_RUNNERS)
+
+
+def run_scenario(s: Scenario, out_dir=None) -> RunResult:
     """Execute a scenario and write its CSV series plus a run manifest."""
-    scan = replace(
-        s.tolerances,
-        grid_points=s.tolerances.grid_points if grid_points is None else grid_points,
-        root_tol=s.tolerances.root_tol if root_tol is None else root_tol,
-    )
-    validation_ok = None
-    if s.kind in ("trace", "fig1"):
-        series = _run_trace(s, s.kind)
-    elif s.kind == "band-scan":
-        series = _run_band_scan(s, scan)
-    elif s.kind == "floquet":
-        series = _run_floquet(s)
-    elif s.kind == "effective":
-        series = _run_effective(s)
-    elif s.kind == "sweep":
-        series = _run_sweep(s)
-    elif s.kind == "beat":
-        series = _run_beat(s)
-    elif s.kind == "validate":
-        series, validation_ok = _run_validate(s, scan)
-    else:  # unreachable after parsing
-        raise ConfigError(f"unknown kind {s.kind!r}")
+    series, validation_ok = _RUNNERS[s.kind](s)
 
     out = Path(out_dir) if out_dir is not None else Path(s.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -641,9 +549,3 @@ def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
     lines.extend(template % row for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def as_validate(s: Scenario) -> Scenario:
-    """Reinterpret any scenario with a range of energies as a validate job."""
-    _check_scan_range(s.energies, "validate")
-    return replace(s, kind="validate")

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -117,10 +118,13 @@ REVERSED = '"energies": {"from": 5, "to": -1, "count": 3}'
         ("run", '{"kind": "trace", "energies": [1.0], "ic": [0, 1], "n_sites": 1000001}'),
         ("run", '{"kind": "validate", %s, "claimed_edges": [6.0]}' % RANGE),
         ("run", '{"kind": "band-scan", "delta": 1e-154, %s}' % RANGE),
+        ("run", '{"kind": "band-scan", "v": [1, -1], %s, "tolerances": {"tol_edge": -1}}' % RANGE),
+        ("run", '{"kind": "band-scan", %s, "tolerances": {"tol_edge": 2}}' % RANGE),
     ],
     ids=[
         "angles", "margin", "reversed-range", "empty-range", "validate-reversed-range",
         "huge-int", "n-sites", "claimed-outside-range", "overflowing-step",
+        "negative-tol-edge", "tol-edge-two",
     ],
 )
 def test_bad_field_is_config_error(tmp_path, command, doc):
@@ -130,3 +134,37 @@ def test_bad_field_is_config_error(tmp_path, command, doc):
     assert cp.returncode == 1
     assert "config error" in cp.stderr
     assert "Traceback" not in cp.stderr
+
+
+def written(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_scan_override_equals_the_same_tolerances_in_the_file(tmp_path):
+    # the manifest hashes the tolerances that were used, wherever they came from
+    doc = json.loads((SCENARIO_DIR / "band_scan_period2.scenario").read_text())
+    doc["tolerances"] = {"grid_points": 64, "root_tol": 1e-6}
+    tuned = tmp_path / "tuned.scenario"
+    tuned.write_text(json.dumps(doc))
+    cp = run_cli(
+        "run", SCENARIO_DIR / "band_scan_period2.scenario", "--out", tmp_path / "flags",
+        "--grid", 64, "--tol", 1e-6,
+    )
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("run", tuned, "--out", tmp_path / "file")
+    assert cp.returncode == 0, cp.stderr
+    assert written(tmp_path / "flags") == written(tmp_path / "file")
+
+
+def test_validate_equals_run_of_the_validate_kind(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "band_scan_period2.scenario").read_text())
+    doc["kind"] = "validate"
+    as_validate = tmp_path / "validate.scenario"
+    as_validate.write_text(json.dumps(doc))
+    cp = run_cli(
+        "validate", SCENARIO_DIR / "band_scan_period2.scenario", "--out", tmp_path / "command"
+    )
+    assert cp.returncode == 0, cp.stderr
+    cp = run_cli("run", as_validate, "--out", tmp_path / "kind")
+    assert cp.returncode == 0, cp.stderr
+    assert written(tmp_path / "command") == written(tmp_path / "kind")

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ from latticeband import (
     scenario_hash,
     serialize_scenario,
 )
-from latticeband.scenario import _write_csv
+from latticeband.scenario import _FIELDS, KINDS, _write_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -88,6 +90,18 @@ class TestParse:
         with pytest.raises(ConfigError, match="range"):
             make({"kind": "validate", "energies": [1.0, 2.0]})
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"kind": "fig1", "n_sites": 3, "n_sites": 5}', "n_sites"),
+            ('{"kind": "fig1", "tolerances": {"margin": 0.1, "margin": 0.2}}', "margin"),
+            ('{"kind": "beat", "energies": [1], "ic": {"psi0": 0, "psi1": 1, "psi0": 1}}', "psi0"),
+        ],
+    )
+    def test_duplicate_key_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+            parse_scenario(text)
+
     def test_json_errors_carry_position(self):
         with pytest.raises(ConfigError, match="line 2"):
             parse_scenario('{\n "kind": }')
@@ -107,6 +121,18 @@ class TestParse:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_scenario_file("/no/such/file.scenario")
+
+
+class TestReadme:
+    def test_field_table_names_the_schema(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("| field | meaning | default |\n")[1].split("\n\n")[0]
+        rows = [line.split(" | ") for line in table.splitlines()[1:]]
+        named = [re.findall(r"`([^`]+)`", row[0]) for row in rows]
+        assert sorted(sum(named, [])) == sorted(_FIELDS)
+        listed = {tuple(name): re.findall(r"`([^`]+)`", row[1]) for name, row in zip(named, rows)}
+        assert tuple(listed[("kind",)]) == KINDS
+        assert listed[("tolerances",)] == [f.name for f in fields(Tolerances)]
 
 
 class TestRoundTrip:

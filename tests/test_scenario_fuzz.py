@@ -1,4 +1,5 @@
-"""Property test: any small scenario document ends in a documented exit code."""
+"""Property tests: any small scenario document ends in a documented exit code,
+and any that parses comes back unchanged from its canonical text."""
 
 import contextlib
 import io
@@ -10,7 +11,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from latticeband import cli  # noqa: E402
+from latticeband import ConfigError, cli, parse_scenario, serialize_scenario  # noqa: E402
 from latticeband.scenario import KINDS  # noqa: E402
 
 # Replacement values for up to two fields: wrong types, and numbers at or
@@ -87,3 +88,15 @@ def test_every_document_ends_in_an_exit_code(tmp_path, doc, command):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents())
+def test_every_parsed_document_round_trips(doc):
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ConfigError:
+        return
+    text = serialize_scenario(scenario)
+    assert parse_scenario(text) == scenario
+    assert serialize_scenario(parse_scenario(text)) == text
