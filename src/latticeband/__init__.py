@@ -72,9 +72,7 @@ from .floquet import (
     tail_growth_rate,
 )
 from .oracle import (
-    CountReport,
     FiniteOperator,
-    IntervalClass,
     ValidationCheck,
     ValidationReport,
     cross_validate,

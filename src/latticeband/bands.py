@@ -10,13 +10,18 @@ exactly 1 and its trace D(E) = t11 + t22 encodes the spectrum: energies with
 |D| < 2 belong to allowed zones (bounded, phase-rotating solutions), |D| > 2
 to forbidden zones (one exponentially growing and one decaying solution),
 and |D| = 2 marks zone edges.
+
+The 2m zone edges are the eigenvalues of the m x m Bloch matrices at
+theta = 0 (D = +2) and theta = pi (D = -2), and the m - 1 hard-wall levels,
+where t21 vanishes, those of their leading (m-1)-site block. Each
+eigenvalue only names a cell of a uniform energy grid; one batched
+bisection of D -+ 2 or t21 in that cell gives the reported energy.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +32,10 @@ from .core import (
     PeriodicPotential,
     validate_potential,
 )
-from .errors import (
-    GridResolutionWarning,
-    OutsideAllowedZoneError,
-)
+from .errors import NumericalError, OutsideAllowedZoneError
 
 # |D| within this of 2 classifies as a zone edge.
 TOL_EDGE = 1e-9
-# Refined |D -+ 2| minima below this count as tangential (closed-gap) touches.
-DEGENERATE_DISC_TOL = 1e-9
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_ROOT_TOL = 1e-10
 
@@ -166,78 +166,127 @@ def classify_energy(
     return ZoneClass(kind=_zone_kind(d, tol_edge), disc=d)
 
 
-def _bisect(f, lo, hi, f_lo, tol):
-    """Root of f in [lo, hi] given a sign change, to width tol or float spacing."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) != (f_mid < 0.0):
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+def _bisect(value, lo, hi, f_lo, level, tol):
+    """Roots of value(E) - level, one per bracket [lo, hi] with a sign change.
+
+    All brackets advance together, with one call of value per step. Each lane
+    halves its bracket as a scalar bisection would: it stops on an exact zero,
+    or at width tol or float spacing with the centre of its bracket.
+    """
+    lo, hi, f_lo, level = (np.array(a, dtype=float) for a in (lo, hi, f_lo, level))
+    root = np.empty(len(lo))
+    live = np.arange(len(lo))
+    while live.size:
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        go = (b - a > tol) & (a < mid) & (mid < b)
+        root[live[~go]] = mid[~go]
+        live, mid = live[go], mid[go]
+        f_mid = value(mid) - level[live]
+        zero = f_mid == 0.0
+        root[live[zero]] = mid[zero]
+        left = (f_lo[live] < 0.0) != (f_mid < 0.0)
+        hi[live[left]] = mid[left]
+        lo[live[~left]], f_lo[live[~left]] = mid[~left], f_mid[~left]
+        live = live[~zero]
+    return root.tolist()
 
 
-def _golden_min(f, lo, hi, tol):
-    """Minimiser of a locally unimodal f on [lo, hi] to width tol or float spacing."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol and a < c < b and a < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def _scan_grid(e_lo, e_hi, grid_points):
-    """Uniform grid of grid_points energies from e_lo to e_hi."""
+def _grid_step(e_lo, e_hi, grid_points):
+    """Spacing of the scan grid e_lo + i * step, i = 0 .. grid_points - 1."""
     if not e_lo < e_hi:
         raise ValueError(f"empty scan range [{e_lo}, {e_hi}]")
     if grid_points < 16:
         raise ValueError(f"grid_points must be at least 16, got {grid_points}")
-    step = (e_hi - e_lo) / (grid_points - 1)
-    return [e_lo + i * step for i in range(grid_points)]
+    return (e_hi - e_lo) / (grid_points - 1)
 
 
-def _scan_roots(f, xs, fs, tol, found):
-    """Sorted roots of f on the grid xs, where fs = f(xs); merged within 4 tol.
+def _bloch_matrix(table, level):
+    """Bloch matrix whose eigenvalues solve D(E) = level = 2 cos(theta).
 
-    Adds one bisected root per sign-changing grid cell to the roots found.
+    Diagonal c, off-diagonals -h and corner entries -h[m-1] cos(theta), for
+    theta = 0 or pi. At m = 1 both corners land on the diagonal, giving
+    c - 2 h cos(theta); at m = 2 they add onto the off-diagonal. The leading
+    (m-1)-site block is the hard-wall well.
     """
-    found = list(found)
-    for i in range(len(xs) - 1):
-        if fs[i] * fs[i + 1] < 0.0:
-            found.append(_bisect(f, xs[i], xs[i + 1], fs[i], tol))
-    found.sort()
-    merged = []
-    for root in found:
-        if merged and root - merged[-1] < 4.0 * tol:
-            continue
-        merged.append(root)
-    return merged
+    h = np.array(table.h)
+    mat = np.diag(table.c) - np.diag(h[:-1], 1) - np.diag(h[:-1], -1)
+    mat[0, -1] -= 0.5 * level * h[-1]
+    mat[-1, 0] -= 0.5 * level * h[-1]
+    return mat
 
 
-def _classify_zone(disc, lo, hi, tol_edge):
-    """Zone class from probe points, stepping aside if a probe hits an edge."""
-    width = hi - lo
-    for frac in (0.5, 0.25, 0.75, 0.4, 0.6):
-        kind = _zone_kind(disc(lo + frac * width), tol_edge)
-        if kind != SpectralClass.EDGE:
-            return kind
-    return SpectralClass.ALLOWED if abs(disc(lo + 0.5 * width)) <= 2.0 else SpectralClass.FORBIDDEN
+def _roots(value, levels, e_lo, step, grid_points, tol):
+    """Roots of value(E) = level on the scan grid, bracketed by eigenvalues.
+
+    levels holds (level, eigenvalues) pairs. Each eigenvalue names its cell
+    of the grid x_i = e_lo + i * step. value is sampled at both grid ends,
+    at the ends of that cell and of its two neighbours, where rounding may
+    have put the root, and midway between two eigenvalues sharing a cell. A
+    sign change between samples less than two cells apart is a bracket. A
+    zero on a grid point is a root, or a touch when both neighbours have one
+    sign. Two eigenvalues in one cell with no sign change around their
+    midpoint are a degenerate pair there. Touches and pairs stand for two
+    eigenvalues each. NumericalError is raised unless these account for
+    every eigenvalue within one cell of the grid and the sign of value
+    holds between samples further apart. The brackets of all levels are
+    bisected together. Returns the roots and the degenerate roots on the
+    grid, as sorted (energy, level) lists.
+    """
+    n = grid_points
+    x_last = e_lo + (n - 1) * step
+    brackets, roots, degenerate = [], [], []
+    for level, eig in levels:
+        lam = eig[(eig >= e_lo - step) & (eig < e_lo + n * step)]
+        cell = np.clip(np.floor((lam - e_lo) / step).astype(int), -1, n - 1)
+        grid = np.union1d(np.clip(cell[:, None] + np.arange(-1, 3), -1, n), [0, n - 1])
+        pair = np.flatnonzero(cell[1:] == cell[:-1])
+        # sorted; a midpoint on a grid point gives way to the grid point
+        x, order = np.unique(
+            np.concatenate([e_lo + grid * step, 0.5 * (lam[pair] + lam[pair + 1])]),
+            return_index=True,
+        )
+        g = value(x) - level
+        s = np.sign(g)
+        on_grid = order < len(grid)
+        near = np.diff(x) < 1.5 * step
+        cross = np.flatnonzero(near & (s[:-1] * s[1:] < 0.0))
+        inner = np.arange(1, len(x) - 1)
+        flat = near[:-1] & near[1:] & (s[:-2] * s[2:] > 0.0)
+        at_zero = on_grid[1:-1] & (s[1:-1] == 0.0)
+        zero, touch = inner[at_zero & ~flat], inner[at_zero & flat]
+        double = inner[~on_grid[1:-1] & flat & (s[1:-1] * s[:-2] >= 0.0)]
+        found = len(cross) + len(zero) + 2 * (len(touch) + len(double))
+        if found != len(lam) or np.any(~near & (s[:-1] * s[1:] <= 0.0)):
+            raise NumericalError(
+                f"the {len(lam)} eigenvalues for level {level:g} near [{e_lo}, {x_last}] "
+                f"do not match the {found} roots the scan sees there"
+            )
+        inside = (e_lo <= x) & (x <= x_last)
+        x, g = x.tolist(), g.tolist()
+        brackets += [(x[k], x[k + 1], g[k], level) for k in cross if inside[k + 1] and inside[k]]
+        roots += [(x[k], level) for k in zero if inside[k]]
+        degenerate += [(x[k], level) for k in np.append(touch, double) if inside[k]]
+    if brackets:
+        lo, hi, f_lo, level = zip(*brackets)
+        roots += zip(_bisect(value, lo, hi, f_lo, level, tol), level)
+    return sorted(roots), sorted(degenerate)
+
+
+def _zones(table, spans, tol_edge):
+    """Zones over (lo, hi) spans, each classed by D at its midpoint.
+
+    A midpoint that reads Edge is classed by |D| <= 2.
+    """
+    lo, hi = np.array(spans).T
+    discs = _period_map(table, lo + 0.5 * (hi - lo)).disc.tolist()
+    zones = []
+    for (a, b), d in zip(spans, discs):
+        kind = _zone_kind(d, tol_edge)
+        if kind == SpectralClass.EDGE:
+            kind = SpectralClass.ALLOWED if abs(d) <= 2.0 else SpectralClass.FORBIDDEN
+        zones.append(Zone(lo=a, hi=b, kind=kind))
+    return tuple(zones)
 
 
 def find_band_edges(
@@ -251,93 +300,31 @@ def find_band_edges(
 ) -> BandDiagram:
     """Locate every solution of D(E) = +-2 in [e_lo, e_hi].
 
-    Crossings are bracketed on a uniform grid and bisected to width tol.
-    Tangential touches (closed gaps) appear as grid-local minima of |D -+ 2|
-    without a sign change; these are refined by golden-section search and
-    reported separately as degenerate edges. A dip of D past a level and back
-    inside a single grid cell is recovered the same way and triggers a
-    GridResolutionWarning, as does a non-alternating zone pattern.
+    The solutions of D(E) = 2 cos(theta) are the eigenvalues of the m x m
+    Bloch matrix at theta (Teschl, Jacobi Operators and Completely
+    Integrable Nonlinear Lattices, ch. 7): theta = 0 gives the D = +2 edges
+    and theta = pi the D = -2 ones. Each eigenvalue names its cell on a
+    uniform grid of grid_points energies, and D -+ 2 is bisected in that
+    cell to width tol, so the refined bits do not depend on the rounding of
+    the eigenvalues. A closed gap, where D touches the level without
+    crossing, is one degenerate edge that does not cut a zone. Zones are
+    classed by D at their midpoints. NumericalError means some eigenvalue
+    matched no root.
     """
-    xs = _scan_grid(e_lo, e_hi, grid_points)
+    step = _grid_step(e_lo, e_hi, grid_points)
     table = validate_potential(pot, lat)
-
-    def disc(energy):
-        return _period_map(table, energy).disc
-
-    ds = disc(np.array(xs)).tolist()
-
-    roots = []
-    degenerate = []
-    for level in (2.0, -2.0):
-        g = [d - level for d in ds]
-        level_roots = []
-
-        for i, gi in enumerate(g):
-            if gi == 0.0:
-                left_sign = g[i - 1] if i > 0 else 0.0
-                right_sign = g[i + 1] if i < len(g) - 1 else 0.0
-                if left_sign * right_sign > 0.0:
-                    degenerate.append(BandEdge(energy=xs[i], level=level))
-                else:
-                    level_roots.append(xs[i])
-
-        # Touches and sub-grid dips: strict local minima of |g| with no sign
-        # change in the two adjacent cells.
-        for i in range(1, len(g) - 1):
-            gi = g[i]
-            if gi == 0.0 or abs(gi) > 0.5:
-                continue
-            if abs(gi) > abs(g[i - 1]) or abs(gi) > abs(g[i + 1]):
-                continue
-            if g[i - 1] * gi <= 0.0 or gi * g[i + 1] <= 0.0:
-                continue
-            sgn = 1.0 if gi > 0.0 else -1.0
-            xm, qm = _golden_min(
-                lambda x: sgn * (disc(x) - level), xs[i - 1], xs[i + 1], tol
-            )
-            if qm < 0.0:
-                warnings.warn(
-                    f"two D = {level:+g} edges inside one grid cell near E = {xm:.6g}; "
-                    "consider a finer grid",
-                    GridResolutionWarning,
-                    stacklevel=2,
-                )
-                f_left = sgn * g[i - 1]
-                level_roots.append(
-                    _bisect(lambda x: sgn * (disc(x) - level), xs[i - 1], xm, f_left, tol)
-                )
-                level_roots.append(
-                    _bisect(lambda x: sgn * (disc(x) - level), xm, xs[i + 1], qm, tol)
-                )
-            elif qm <= DEGENERATE_DISC_TOL:
-                degenerate.append(BandEdge(energy=xm, level=level))
-
-        merged = _scan_roots(lambda x: disc(x) - level, xs, g, tol, level_roots)
-        roots.extend(BandEdge(energy=r, level=level) for r in merged)
-
-    roots.sort(key=lambda e: e.energy)
-    degenerate.sort(key=lambda e: e.energy)
-
-    points = [e_lo] + [e.energy for e in roots] + [e_hi]
-    zones = []
-    for lo, hi in zip(points[:-1], points[1:]):
-        if hi - lo <= 0.0:
-            continue
-        zones.append(Zone(lo=lo, hi=hi, kind=_classify_zone(disc, lo, hi, tol_edge)))
-    for za, zb in zip(zones[:-1], zones[1:]):
-        if za.kind == zb.kind:
-            warnings.warn(
-                f"zones ({za.lo:.6g}, {za.hi:.6g}) and ({zb.lo:.6g}, {zb.hi:.6g}) share "
-                f"class {za.kind.value}; an edge may have been missed by the grid",
-                GridResolutionWarning,
-                stacklevel=2,
-            )
+    levels = [(level, np.linalg.eigvalsh(_bloch_matrix(table, level))) for level in (2.0, -2.0)]
+    roots, degenerate = _roots(
+        lambda energy: _period_map(table, energy).disc, levels, e_lo, step, grid_points, tol
+    )
+    bounds = [e_lo] + [energy for energy, _ in roots] + [e_hi]
+    spans = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > 0.0]
     return BandDiagram(
         e_lo=e_lo,
         e_hi=e_hi,
-        edges=tuple(roots),
-        degenerate_edges=tuple(degenerate),
-        zones=tuple(zones),
+        edges=tuple(BandEdge(*root) for root in roots),
+        degenerate_edges=tuple(BandEdge(*root) for root in degenerate),
+        zones=_zones(table, spans, tol_edge),
     )
 
 
@@ -352,27 +339,22 @@ def diagram_from_edges(
     """Build a diagram from externally supplied edge energies.
 
     Zones between consecutive claimed edges get the class of the discriminant
-    at probe points inside them. Meant for feeding claimed (possibly wrong)
-    edges to the counting oracle.
+    at their midpoints. Meant for feeding claimed (possibly wrong) edges to
+    the counting oracle.
     """
     energies = sorted(float(e) for e in edge_energies)
     if any(not e_lo < e < e_hi for e in energies):
         raise ValueError("claimed edges must lie strictly inside the scan range")
     table = validate_potential(pot, lat)
-
-    def disc(energy):
-        return _period_map(table, energy).disc
-
-    points = [e_lo] + energies + [e_hi]
-    zones = tuple(
-        Zone(lo=lo, hi=hi, kind=_classify_zone(disc, lo, hi, tol_edge))
-        for lo, hi in zip(points[:-1], points[1:])
-    )
-    edges = tuple(
-        BandEdge(energy=e, level=2.0 if disc(e) > 0 else -2.0) for e in energies
-    )
+    bounds = [e_lo] + energies + [e_hi]
+    discs = _period_map(table, np.array(energies)).disc.tolist()
+    edges = tuple(BandEdge(energy=e, level=2.0 if d > 0 else -2.0) for e, d in zip(energies, discs))
     return BandDiagram(
-        e_lo=e_lo, e_hi=e_hi, edges=edges, degenerate_edges=(), zones=zones
+        e_lo=e_lo,
+        e_hi=e_hi,
+        edges=edges,
+        degenerate_edges=(),
+        zones=_zones(table, list(zip(bounds[:-1], bounds[1:])), tol_edge),
     )
 
 
@@ -470,19 +452,21 @@ def dirichlet_spectrum(
     grid_points: int = DEFAULT_GRID_POINTS,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> list:
-    """Energies where the monodromy entry t21 vanishes.
+    """Energies in [e_lo, e_hi] where the monodromy entry t21 vanishes.
 
     These are the eigenvalues of the hard-wall well cut from a single period
     of the potential (the m-1 sites at phases 0..m-2 between two infinite
-    walls). For m = 1 the entry is constant and the list is empty.
+    walls), the leading block of the Bloch matrix. Each names its cell on the
+    grid of grid_points energies, where t21 is bisected to width tol, as for
+    find_band_edges; a degenerate pair is listed twice. For m = 1 there is no
+    such site and the list is empty.
     """
-    xs = _scan_grid(e_lo, e_hi, grid_points)
+    step = _grid_step(e_lo, e_hi, grid_points)
     if pot.m == 1:
         return []
     table = validate_potential(pot, lat)
-
-    def f(energy):
-        return _period_map(table, energy).t21
-
-    fs = f(np.array(xs)).tolist()
-    return _scan_roots(f, xs, fs, tol, [x for x, fx in zip(xs, fs) if fx == 0.0])
+    levels = [(0.0, np.linalg.eigvalsh(_bloch_matrix(table, 2.0)[:-1, :-1]))]
+    roots, degenerate = _roots(
+        lambda energy: _period_map(table, energy).t21, levels, e_lo, step, grid_points, tol
+    )
+    return sorted([energy for energy, _ in roots + 2 * degenerate])

@@ -57,4 +57,8 @@ class ValidationMismatchError(LatticeBandError):
 
 
 class GridResolutionWarning(UserWarning):
-    """The energy grid may be too coarse to separate nearby band edges."""
+    """Formerly: the energy grid was too coarse to separate nearby band edges.
+
+    The package no longer raises it, since eigenvalues now bracket every
+    edge; it stays exported for code that still filters or counts it.
+    """

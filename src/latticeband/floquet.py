@@ -142,7 +142,11 @@ def floquet_solution(
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
-    table = validate_potential(pot, lat)
+    return _fundamental(validate_potential(pot, lat), energy, branch, n_sites)[0]
+
+
+def _fundamental(table, energy, branch, n_sites):
+    """floquet_solution from the coefficient table: (trace, lambda, kappa_site)."""
     mono = _period_map(table, energy)
     kind = _zone_kind(mono.disc, TOL_EDGE)
     if kind == SpectralClass.EDGE:
@@ -179,13 +183,14 @@ def floquet_solution(
     q, r = np.divmod(np.arange(n_sites + 1), m)
     s = base[r] * sign_lam**q
     ell = q * log_lam
-    return SolutionTrace(
+    trace = SolutionTrace(
         energy=energy,
         ic=InitialCondition(s[0], s[1] * math.exp(ell[1] - ell[0])),
         n_sites=n_sites,
         s=s,
         ell=ell,
     )
+    return trace, lam, pair.kappa_site
 
 
 def knots(trace: SolutionTrace) -> KnotList:
@@ -257,6 +262,11 @@ def effective_potential(
     flagged undefined instead of producing huge ratios.
     """
     validate_potential(pot, lat)
+    return _fold(trace, pot)
+
+
+def _fold(trace, pot):
+    """effective_potential for a potential already validated."""
     m = pot.m
     la = trace.log_abs()
     site = np.arange(len(la))

@@ -15,7 +15,6 @@ never touches the transfer-matrix code.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +36,6 @@ MAX_EDGE_STATES = 2
 DEFAULT_MARGIN = 0.05
 # Recomputed edges closer than this to a diagram boundary do not cut its zone.
 _MERGE_DISTANCE = 1e-6
-
-
-class IntervalClass(enum.Enum):
-    GAP = "Gap"
-    BAND = "Band"
 
 
 @dataclass(frozen=True)
@@ -72,13 +66,6 @@ class FiniteOperator:
         diag = np.tile(table.c, reps)[:n_sites]
         off = -np.tile(table.h, reps)[: n_sites - 1]
         return cls(diag=diag, off=off)
-
-
-@dataclass(frozen=True)
-class CountReport:
-    energy: float
-    count: int
-    n_sites: int
 
 
 @dataclass(frozen=True)
@@ -122,10 +109,9 @@ def _counts_batch(op: FiniteOperator, energies, prefix: int | None = None):
     return (counts if head is None else head), counts
 
 
-def sturm_count(op: FiniteOperator, energy: float) -> CountReport:
+def sturm_count(op: FiniteOperator, energy: float) -> int:
     """Number of eigenvalues of the hard-wall chain strictly below energy."""
-    count = int(_counts_batch(op, [energy])[1][0])
-    return CountReport(energy=energy, count=count, n_sites=op.n_sites)
+    return int(_counts_batch(op, [energy])[1][0])
 
 
 def cross_validate(
@@ -177,15 +163,14 @@ def cross_validate(
     inside2 = counts2[1::2] - counts2[0::2]
     checks = []
     for k, kind in enumerate(kinds):
-        expected = IntervalClass.BAND if kind == SpectralClass.ALLOWED else IntervalClass.GAP
-        is_gap = inside1[k] == inside2[k] <= MAX_EDGE_STATES
-        verdict = IntervalClass.GAP if is_gap else IntervalClass.BAND
+        expected = "Band" if kind == SpectralClass.ALLOWED else "Gap"
+        verdict = "Gap" if inside1[k] == inside2[k] <= MAX_EDGE_STATES else "Band"
         checks.append(
             ValidationCheck(
                 lo=probes[2 * k],
                 hi=probes[2 * k + 1],
-                expected=expected.value,
-                verdict=verdict.value,
+                expected=expected,
+                verdict=verdict,
                 passed=verdict == expected,
             )
         )

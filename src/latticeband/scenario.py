@@ -29,6 +29,8 @@ from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import bands, floquet, oracle
 from .core import (
     InitialCondition,
@@ -372,20 +374,18 @@ def _trace(s, energy):
 
 
 def _floquet(s, energy):
-    pot, lat = s.potential(), s.lattice()
-    trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
-    pair = bands.floquet_multipliers(pot, lat, energy)
-    lam, _ = floquet.select_branch(pair, s.branch)
-    knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), pot.m)
-    ratio_res = floquet.ratio_periodicity_residual(trace, pot.m)
-    extras = (float(lam), pair.kappa_site, float(knot_res), float(ratio_res))
+    table = validate_potential(s.potential(), s.lattice())
+    trace, lam, kappa = floquet._fundamental(table, energy, s.branch, s.n_sites)
+    knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), s.m)
+    ratio_res = floquet.ratio_periodicity_residual(trace, s.m)
+    extras = (lam, kappa, float(knot_res), float(ratio_res))
     return tuple(row + extras for row in _trace_rows(trace))
 
 
 def _effective(s, energy):
     pot, lat = s.potential(), s.lattice()
     trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
-    profile = floquet.effective_potential(trace, pot, lat)
+    profile = floquet._fold(trace, pot)
     residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
     n = len(profile.w)
     return tuple(
@@ -433,11 +433,13 @@ def _band_diagram(s):
 
 
 def _band_scan(s):
-    pot, lat = s.potential(), s.lattice()
-    rows = []
-    for energy in s.energy_list():
-        zc = bands.classify_energy(pot, lat, energy, tol_edge=s.tolerances.tol_edge)
-        rows.append((float(energy), zc.disc, zc.kind.value))
+    energies = s.energy_list()
+    table = validate_potential(s.potential(), s.lattice())
+    discs = bands._period_map(table, np.array(energies)).disc.tolist()
+    rows = [
+        (float(e), d, bands._zone_kind(d, s.tolerances.tol_edge).value)
+        for e, d in zip(energies, discs)
+    ]
     diagram = _band_diagram(s)
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy

@@ -1,15 +1,17 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import latticeband.bands
 from latticeband import (
-    GridResolutionWarning,
+    BandEdge,
     InitialCondition,
     LatticeSpec,
+    NumericalError,
     OutsideAllowedZoneError,
     PeriodicPotential,
     SpectralClass,
@@ -149,25 +151,129 @@ class TestFindBandEdges:
 
     def test_closed_gap_reported_as_degenerate_edge(self):
         # the free chain written as period 2 has a tangential |D| = 2 touch at
-        # band centre but no gap there
+        # band centre but no gap there: a double eigenvalue of the theta = pi
+        # Bloch matrix
         pot = PeriodicPotential.free(2)
         diagram = find_band_edges(pot, LAT, -1.0, 5.0)
         assert abs(diagram.edge_energies()[0] - 0.0) <= 1e-10
         assert abs(diagram.edge_energies()[1] - 4.0) <= 1e-10
-        assert len(diagram.degenerate_edges) == 1
-        assert abs(diagram.degenerate_edges[0].energy - 2.0) <= 1e-6
+        assert diagram.degenerate_edges == (BandEdge(energy=2.0, level=-2.0),)
         assert len(diagram.zones) == 3  # the touch does not split the band
 
-    def test_narrow_gap_recovered_with_warning(self):
+    def test_narrow_gap_recovered_without_warning(self):
         # gap half-width 1e-4 is far below the grid step; the scan range is
         # offset so no grid point falls inside the dip
         pot = PeriodicPotential.local([1e-4, -1e-4])
-        with pytest.warns(GridResolutionWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             diagram = find_band_edges(pot, LAT, -1.0015, 5.0)
+        assert caught == []
         inner = [e for e in diagram.edge_energies() if 1.9 < e < 2.1]
         assert len(inner) == 2
         assert abs(inner[0] - (2.0 - 1e-4)) <= 1e-8
         assert abs(inner[1] - (2.0 + 1e-4)) <= 1e-8
+
+    def test_edge_on_grid_point_keeps_grid_value(self):
+        # E = 1 and E = 3 are grid points of [-2, 6] and D(E) = -2 there exactly
+        diagram = find_band_edges(P2, LAT, -2.0, 6.0)
+        assert -2.0 + 750 * (8.0 / 2000) == 1.0
+        assert {1.0, 3.0} <= set(diagram.edge_energies())
+
+    def test_every_edge_found_where_the_grid_scan_lost_some(self):
+        # a grid scan of this potential found 88 of its 100 edges and 43 of
+        # its 49 hard-wall levels: the rest come in pairs inside one grid cell
+        pot = random_potential(np.random.default_rng(2), 50)
+        diagram = find_band_edges(pot, LAT, -4.0, 8.0)
+        assert diagram.degenerate_edges == ()
+        # independent Bloch matrices: periodic and antiperiodic chains
+        off = np.array(pot.u) - 1.0
+        expected = []
+        for phase in (1.0, -1.0):
+            h = np.diag(2.0 + np.array(pot.v)) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+            h[0, -1] = h[-1, 0] = phase * off[-1]
+            expected += np.linalg.eigvalsh(h).tolist()
+        got = diagram.edge_energies()
+        assert len(got) == 100
+        assert np.max(np.abs(np.array(got) - np.sort(expected))) <= 1e-8
+        assert len(dirichlet_spectrum(pot, LAT, -4.0, 8.0)) == 49
+
+    def test_dropped_eigenvalue_is_numerical_error(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eigvalsh(a)[1:])
+        with pytest.raises(NumericalError, match="do not match"):
+            find_band_edges(P2, LAT, -2.0, 6.0)
+        with pytest.raises(NumericalError):
+            dirichlet_spectrum(PeriodicPotential.local([1.0, -1.0, 0.5]), LAT, -2.0, 6.0)
+
+    def test_batched_bisection_matches_scalar(self):
+        def scalar_bisect(f, lo, hi, f_lo, tol):
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                f_mid = f(mid)
+                if f_mid == 0.0:
+                    return mid
+                if (f_lo < 0.0) != (f_mid < 0.0):
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            return 0.5 * (lo + hi)
+
+        pot = random_potential(np.random.default_rng(8), 8)
+        table = latticeband.bands.validate_potential(pot, LAT)
+
+        def disc(energy):
+            return latticeband.bands._period_map(table, energy).disc
+
+        # every sign-changing cell of a 2001-point grid, both levels
+        xs = [-3.0 + i * 0.005 for i in range(2001)]
+        gs = disc(np.array(xs)).tolist()
+        brackets = [
+            (xs[i], xs[i + 1], gs[i] - level, level)
+            for level in (2.0, -2.0)
+            for i in range(2000)
+            if (gs[i] - level) * (gs[i + 1] - level) < 0.0
+        ]
+        assert len(brackets) == 16
+        for tol in (1e-10, 0.0):
+            got = latticeband.bands._bisect(disc, *zip(*brackets), tol)
+            want = [
+                scalar_bisect(lambda x, level=level: disc(x) - level, lo, hi, f_lo, tol)
+                for lo, hi, f_lo, level in brackets
+            ]
+            assert got == want
+
+    def test_two_eigenvalues_in_one_cell(self):
+        # grid 0, 0.1, ..., 1.5: both roots of (E - 0.55)^2 - w^2 lie in the
+        # cell [0.5, 0.6], where the function is positive at both ends
+        roots = latticeband.bands._roots
+
+        def parabola(shift):
+            return lambda e: (e - 0.55) ** 2 + shift
+
+        eig = np.array([0.55 - 1e-3, 0.55 + 1e-3])
+        # negative at the eigenvalues' midpoint: split there, two edges
+        found, degenerate = roots(parabola(-1e-6), [(0.0, eig)], 0.0, 0.1, 16, 1e-12)
+        assert degenerate == []
+        assert [e for e, _ in found] == pytest.approx([0.549, 0.551], abs=1e-11)
+        # positive there (a touch): one degenerate edge at the mean
+        eig = np.array([0.55 - 1e-15, 0.55 + 1e-15])
+        found, degenerate = roots(parabola(1e-30), [(0.0, eig)], 0.0, 0.1, 16, 1e-12)
+        assert found == [] and degenerate == [(0.5 * (eig[0] + eig[1]), 0.0)]
+
+    def test_eigenvalue_one_cell_off(self):
+        # the root of E - 0.3 + 1e-15 lies just below the grid point 0.3, in
+        # the cell [0.2, 0.3]; eigenvalues rounded into either neighbouring
+        # cell still find it there
+        x3 = 0.0 + 3 * 0.1
+        for eig in (x3 + 1e-15, x3 - 1e-15, 0.3 - 2e-15):
+            found, _ = latticeband.bands._roots(
+                lambda e: e - x3 + 1e-15, [(0.0, np.array([eig]))], 0.0, 0.1, 16, 0.0
+            )
+            assert len(found) == 1
+            assert 0.0 + 2 * 0.1 < found[0][0] < x3
+            assert abs(found[0][0] - (x3 - 1e-15)) <= 1e-16
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -178,7 +284,6 @@ class TestFindBandEdges:
             with pytest.raises(ValueError):
                 dirichlet_spectrum(P2, LAT, 0.0, 1.0, grid_points=grid_points)
 
-    @pytest.mark.filterwarnings("ignore::latticeband.GridResolutionWarning")
     def test_validates_potential_once(self, monkeypatch):
         calls = []
         validate = latticeband.bands.validate_potential

@@ -75,7 +75,6 @@ class TestFloquetSolution:
                 trace = floquet_solution(pot, LAT, energy, branch, 25 * pot.m)
                 assert recurrence_residual(trace, pot, LAT) <= 1e-10
 
-    @pytest.mark.filterwarnings("ignore::latticeband.GridResolutionWarning")
     def test_decaying_branch_satisfies_recurrence_at_long_periods(self):
         # kappa * m is large at these gap midpoints: a forward fill of the
         # decaying period is swamped by the growing solution

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import latticeband
 from latticeband import (
     FIG1_ENERGIES,
     ConfigError,
@@ -227,6 +228,21 @@ class TestRun:
         )
         lam = float(lines[1].split(",")[4])
         assert lam == pytest.approx((-3.0 - math.sqrt(5.0)) / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["floquet", "effective"])
+    def test_validates_potential_once_per_energy(self, kind, tmp_path, monkeypatch):
+        s = make({"kind": kind, "v": [1.0, -1.0], "energies": [1.5, 2.0, 2.5], "n_sites": 40})
+        calls = []
+        validate = latticeband.core.validate_potential
+
+        def counting(pot, lat):
+            calls.append(1)
+            return validate(pot, lat)
+
+        for module in (latticeband.core, latticeband.bands, latticeband.floquet, latticeband.scenario):
+            monkeypatch.setattr(module, "validate_potential", counting)
+        run_scenario(s, out_dir=tmp_path)
+        assert len(calls) == 3
 
     def test_floquet_in_band_is_numerical_failure(self, tmp_path):
         doc = {"kind": "floquet", "energies": [2.0], "n_sites": 40}
