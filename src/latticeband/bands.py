@@ -229,9 +229,11 @@ def _roots(value, levels, e_lo, step, grid_points, tol):
     midpoint are a degenerate pair there. Touches and pairs stand for two
     eigenvalues each. NumericalError is raised unless these account for
     every eigenvalue within one cell of the grid and the sign of value
-    holds between samples further apart. The brackets of all levels are
-    bisected together. Returns the roots and the degenerate roots on the
-    grid, as sorted (energy, level) lists.
+    holds between samples further apart, or if a sample less than two cells
+    from another is not finite (the period map overflows, as for periods in
+    the thousands; a lone sample at a far range end may overflow). The
+    brackets of all levels are bisected together. Returns the roots and the
+    degenerate roots on the grid, as sorted (energy, level) lists.
     """
     n = grid_points
     x_last = e_lo + (n - 1) * step
@@ -246,10 +248,18 @@ def _roots(value, levels, e_lo, step, grid_points, tol):
             np.concatenate([e_lo + grid * step, 0.5 * (lam[pair] + lam[pair + 1])]),
             return_index=True,
         )
-        g = value(x) - level
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = value(x) - level
+        near = np.diff(x) < 1.5 * step
+        relied = ~np.isfinite(g) & (np.append(near, False) | np.insert(near, 0, False))
+        if relied.any():
+            raise NumericalError(
+                f"the period map overflows near [{e_lo}, {x_last}]: the transfer-matrix "
+                f"product is not finite at {np.count_nonzero(relied)} energies next to "
+                f"its {len(lam)} eigenvalues for level {level:g}"
+            )
         s = np.sign(g)
         on_grid = order < len(grid)
-        near = np.diff(x) < 1.5 * step
         cross = np.flatnonzero(near & (s[:-1] * s[1:] < 0.0))
         inner = np.arange(1, len(x) - 1)
         flat = near[:-1] & near[1:] & (s[:-2] * s[2:] > 0.0)
@@ -276,10 +286,12 @@ def _roots(value, levels, e_lo, step, grid_points, tol):
 def _zones(table, spans, tol_edge):
     """Zones over (lo, hi) spans, each classed by D at its midpoint.
 
-    A midpoint that reads Edge is classed by |D| <= 2.
+    A midpoint that reads Edge is classed by |D| <= 2, so one where the period
+    map overflows (far out in a gap, at periods in the hundreds) is Forbidden.
     """
     lo, hi = np.array(spans).T
-    discs = _period_map(table, lo + 0.5 * (hi - lo)).disc.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        discs = _period_map(table, lo + 0.5 * (hi - lo)).disc.tolist()
     zones = []
     for (a, b), d in zip(spans, discs):
         kind = _zone_kind(d, tol_edge)
@@ -309,7 +321,7 @@ def find_band_edges(
     the eigenvalues. A closed gap, where D touches the level without
     crossing, is one degenerate edge that does not cut a zone. Zones are
     classed by D at their midpoints. NumericalError means some eigenvalue
-    matched no root.
+    matched no root, or the period map overflowed next to one.
     """
     step = _grid_step(e_lo, e_hi, grid_points)
     table = validate_potential(pot, lat)

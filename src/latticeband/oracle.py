@@ -3,7 +3,9 @@
 A hard-wall truncation of the periodic operator is a real symmetric
 tridiagonal matrix: diagonal 2/d^2 + v(n), first off-diagonals u(n) - 1/d^2.
 The number of eigenvalues below E equals the number of negative pivots in the
-LDL^T factorisation of J - E I, a single scalar recurrence per site. The
+LDL^T factorisation of J - E I, a single scalar recurrence per site (the
+Sturm count of Barth, Martin & Wilkinson, Numer. Math. 9, 1967), run for all
+probe energies together over chunks of sites (see _counts_batch). The
 pivots of a leading block are the first pivots of the whole chain, so one
 pass over a chain of n2 = 2000 m sites also gives the counts of its leading
 n1 = 1000 m sites. Between two energies inside a band the count grows by one
@@ -31,6 +33,8 @@ from .errors import ValidationMismatchError
 
 # Zero pivots are nudged to this (negative) value and counted as negative.
 _PIVOT_TINY = 1e-300
+# Sites per chunk of the pivot walk; a chunk's pivots (sites x probes) stay in cache.
+_CHUNK = 64
 # Wall-bound states allowed inside a gap: at most one per wall.
 MAX_EDGE_STATES = 2
 DEFAULT_MARGIN = 0.05
@@ -86,27 +90,61 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
 
+def _pivots(rows, d, couplings, buf, nudge):
+    """Overwrite rows (diag - E, one site each) with the pivots that follow d.
+
+    Two in-place calls per site; with nudge, zero pivots become -_PIVOT_TINY.
+    Returns the last pivot.
+    """
+    for row, c in zip(rows, couplings):
+        np.divide(c, d, out=buf)
+        np.subtract(row, buf, out=row)
+        if nudge:
+            row[row == 0.0] = -_PIVOT_TINY
+        d = row
+    return d
+
+
 def _counts_batch(op: FiniteOperator, energies, prefix: int | None = None):
     """Negative-pivot counts of J - E I for several energies at once.
 
     Returns (counts of the leading prefix sites, counts of the whole chain);
-    prefix defaults to the whole chain.
+    prefix defaults to the whole chain. Sites are walked in chunks of _CHUNK,
+    also cut at prefix. A chunk's rows diag - E are built in one call and
+    overwritten by the pivots d_i = (diag_i - E) - off_{i-1}^2 / d_{i-1} (site
+    0 follows a virtual pivot inf with coupling 0), and its negatives are
+    counted once. A zero pivot (0.0 or -0.0) is nudged to -_PIVOT_TINY and
+    counted as negative. Each chunk runs first without the nudge; up to its
+    first zero that run is exact, so only a chunk holding a zero is replayed,
+    from its starting pivot with the nudge on. Every lane's arithmetic is
+    that of the plain site-by-site loop, bit for bit.
     """
     energies = np.asarray(energies, dtype=float)
-    counts = np.zeros(energies.shape, dtype=int)
+    lanes = energies.ravel()
+    n = op.n_sites
+    off_sq = np.zeros(n)
+    np.square(op.off, out=off_sq[1:])
+    counts = np.zeros(lanes.shape, dtype=int)
     head = None
-    off_sq = op.off**2
+    d, buf = np.full(lanes.shape, np.inf), np.empty(lanes.shape)
+    cuts = {*range(_CHUNK, n, _CHUNK), n}
+    if prefix is not None and 0 < prefix < n:
+        cuts.add(prefix)
+    start = 0
     with np.errstate(divide="ignore", over="ignore"):
-        d = op.diag[0] - energies
-        d = np.where(d == 0.0, -_PIVOT_TINY, d)
-        counts += d < 0.0
-        for i in range(1, op.n_sites):
-            if i == prefix:
+        for stop in sorted(cuts):
+            diag, couplings = op.diag[start:stop, None], off_sq[start:stop].tolist()
+            rows = diag - lanes
+            end = _pivots(rows, d, couplings, buf, nudge=False)
+            if not rows.all():
+                np.subtract(diag, lanes, out=rows)
+                end = _pivots(rows, d, couplings, buf, nudge=True)
+            counts += np.count_nonzero(rows < 0.0, axis=0)
+            if stop == prefix:
                 head = counts.copy()
-            d = op.diag[i] - energies - off_sq[i - 1] / d
-            d = np.where(d == 0.0, -_PIVOT_TINY, d)
-            counts += d < 0.0
-    return (counts if head is None else head), counts
+            d, start = end, stop
+    shape = energies.shape
+    return (counts if head is None else head).reshape(shape), counts.reshape(shape)
 
 
 def sturm_count(op: FiniteOperator, energy: float) -> int:

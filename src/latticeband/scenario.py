@@ -39,7 +39,7 @@ from .core import (
     propagate,
     validate_potential,
 )
-from .errors import ConfigError, LatticeBandError, ValidationMismatchError
+from .errors import ConfigError, LatticeBandError, NumericalError, ValidationMismatchError
 
 # Preset energy list for the fig1 kind: one trace per qualitative regime
 # (growing exponential below the band, linear at the lower edge, sine-like
@@ -435,12 +435,18 @@ def _band_diagram(s):
 def _band_scan(s):
     energies = s.energy_list()
     table = validate_potential(s.potential(), s.lattice())
-    discs = bands._period_map(table, np.array(energies)).disc.tolist()
+    diagram = _band_diagram(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        discs = bands._period_map(table, np.array(energies)).disc
+    if not np.isfinite(discs).all():
+        raise NumericalError(
+            f"the period map overflows at {np.count_nonzero(~np.isfinite(discs))} "
+            f"of the {len(energies)} scan energies"
+        )
     rows = [
         (float(e), d, bands._zone_kind(d, s.tolerances.tol_edge).value)
-        for e, d in zip(energies, discs)
+        for e, d in zip(energies, discs.tolist())
     ]
-    diagram = _band_diagram(s)
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy
     )

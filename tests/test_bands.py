@@ -205,6 +205,36 @@ class TestFindBandEdges:
         with pytest.raises(NumericalError):
             dirichlet_spectrum(PeriodicPotential.local([1.0, -1.0, 0.5]), LAT, -2.0, 6.0)
 
+    def test_period_map_overflow_is_numerical_error(self):
+        # at m = 1000 the transfer-matrix product overflows inside the gaps,
+        # next to the eigenvalues: the scan names the overflow, with no numpy
+        # warning, instead of miscounting its roots
+        rng = np.random.default_rng(7)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 1000)), u=tuple(rng.uniform(-0.2, 0.2, 1000))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="period map overflows"):
+                find_band_edges(pot, LAT, -3.0, 7.0)
+            with pytest.raises(NumericalError, match="period map overflows"):
+                dirichlet_spectrum(pot, LAT, -3.0, 7.0)
+
+    def test_overflow_far_from_every_edge_is_harmless(self):
+        # at m = 500 D overflows only towards the ends of [-3, 7]
+        rng = np.random.default_rng(7)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 500)), u=tuple(rng.uniform(-0.2, 0.2, 500))
+        )
+        table = latticeband.bands.validate_potential(pot, LAT)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(latticeband.bands._period_map(table, -3.0).disc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diagram = find_band_edges(pot, LAT, -3.0, 7.0)
+        assert len(diagram.edges) == 1000
+        assert diagram.zones[0].kind == diagram.zones[-1].kind == SpectralClass.FORBIDDEN
+
     def test_batched_bisection_matches_scalar(self):
         def scalar_bisect(f, lo, hi, f_lo, tol):
             while hi - lo > tol:

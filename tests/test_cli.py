@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -52,6 +53,26 @@ def test_run_floquet_in_band_is_numerical_failure(tmp_path):
     cp = run_cli("run", bad, "--out", tmp_path)
     assert cp.returncode == 2
     assert "numerical failure" in cp.stderr
+
+
+@pytest.mark.parametrize("m", [500, 1000])
+def test_period_map_overflow_is_numerical_failure(tmp_path, m):
+    # at m = 1000 the edge scan overflows; at m = 500 only the scan rows at
+    # the ends of the range do, which would print D = nan
+    rng = np.random.default_rng(7)
+    doc = {
+        "kind": "band-scan",
+        "m": m,
+        "v": rng.uniform(-1.0, 1.0, m).tolist(),
+        "u": rng.uniform(-0.2, 0.2, m).tolist(),
+        "energies": {"from": -3.0, "to": 7.0, "count": 11},
+    }
+    long = tmp_path / "long.scenario"
+    long.write_text(json.dumps(doc))
+    cp = run_cli("run", long, "--out", tmp_path / "out")
+    assert cp.returncode == 2
+    assert "numerical failure" in cp.stderr and "period map overflows" in cp.stderr
+    assert "RuntimeWarning" not in cp.stderr
 
 
 def test_run_corrupt_edges_is_validation_mismatch(tmp_path):

@@ -25,6 +25,45 @@ def dense_eigenvalues(op):
     return np.linalg.eigvalsh(J)
 
 
+def reference_counts(op, energies, prefix=None):
+    """The plain site-by-site pivot loop that the chunked kernel replaced."""
+    energies = np.asarray(energies, dtype=float)
+    counts = np.zeros(energies.shape, dtype=int)
+    head = None
+    off_sq = op.off**2
+    with np.errstate(divide="ignore", over="ignore"):
+        d = op.diag[0] - energies
+        d = np.where(d == 0.0, -oracle._PIVOT_TINY, d)
+        counts += d < 0.0
+        for i in range(1, op.n_sites):
+            if i == prefix:
+                head = counts.copy()
+            d = op.diag[i] - energies - off_sq[i - 1] / d
+            d = np.where(d == 0.0, -oracle._PIVOT_TINY, d)
+            counts += d < 0.0
+    return (counts if head is None else head), counts
+
+
+def assert_same_counts(op, energies, prefixes):
+    for prefix in prefixes:
+        head, whole = oracle._counts_batch(op, energies, prefix=prefix)
+        ref_head, ref_whole = reference_counts(op, energies, prefix=prefix)
+        assert np.array_equal(head, ref_head), prefix
+        assert np.array_equal(whole, ref_whole), prefix
+
+
+def zero_pivot_chain(n, sites):
+    """Chain whose pivots at E = 0 are exactly zero at the given sites only."""
+    diag, d = np.full(n, 3.0), math.inf
+    for i in range(n):
+        if i in sites:
+            diag[i] = 1.0 / d  # d_i = diag_i - 1/d_{i-1} = 0
+        d = diag[i] - 1.0 / d
+        assert (d == 0.0) == (i in sites)
+        d = -oracle._PIVOT_TINY if d == 0.0 else d
+    return FiniteOperator(diag=diag, off=-np.ones(n - 1))
+
+
 class TestFiniteOperator:
     def test_free_chain_entries(self):
         op = FiniteOperator.from_potential(FREE, LAT, 5)
@@ -92,6 +131,50 @@ class TestSturmCount:
         assert whole.tolist() == oracle._counts_batch(long, energies)[1].tolist()
 
 
+class TestKernelMatchesReference:
+    """The chunked kernel gives the plain loop's counts, equal by array_equal."""
+
+    @pytest.mark.parametrize("m", range(1, 51))
+    def test_random_potentials_and_eigenvalue_probes(self, m):
+        rng = np.random.default_rng(100 + m)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+        )
+        n = 3 * oracle._CHUNK + 5 * m + 1
+        op = FiniteOperator.from_potential(pot, LAT, n)
+        ev = dense_eigenvalues(op)
+        energies = np.concatenate([rng.uniform(-2.0, 6.0, 24), ev[:: max(1, n // 24)]])
+        prefixes = (None, n, n - 1, oracle._CHUNK + 1, 2 * m + 1, 0)
+        assert_same_counts(op, energies, prefixes)
+
+    @pytest.mark.parametrize("energy", [1.0, 2.0, 3.0])
+    def test_free_lattice_exact_zero_pivots(self, energy):
+        # d_0 = 2 - E and d_1 = d_0 - 1/d_0: zero at E = 2 and at E = 1
+        op = FiniteOperator.from_potential(FREE, LAT, 2 * oracle._CHUNK + 3)
+        assert (2.0 - 2.0, (2.0 - 1.0) - 1.0 / (2.0 - 1.0)) == (0.0, 0.0)
+        assert_same_counts(op, [energy, 0.5, energy], (None, 1, 2, oracle._CHUNK + 3))
+        for head, ref in zip(oracle._counts_batch(op, energy), reference_counts(op, energy)):
+            assert head.shape == () and np.array_equal(head, ref)
+
+    @pytest.mark.parametrize("where", ["chunk-end", "chunk-start", "prefix-end", "prefix"])
+    def test_zero_pivot_on_a_cut(self, where):
+        chunk, prefix = oracle._CHUNK, 2 * oracle._CHUNK + 37
+        site = {
+            "chunk-end": chunk - 1,
+            "chunk-start": chunk,
+            "prefix-end": prefix - 1,
+            "prefix": prefix,
+        }[where]
+        op = zero_pivot_chain(3 * chunk + 5, {0, site})
+        assert_same_counts(op, [0.0, 0.25, 0.0, -1.0], (None, prefix, site, site + 1))
+
+    @pytest.mark.parametrize("n_sites", [1, 2, 3])
+    def test_chains_shorter_than_one_chunk(self, n_sites):
+        op = FiniteOperator.from_potential(P2, LAT, n_sites)
+        energies = np.concatenate([[1.0, 3.0, 2.0], dense_eigenvalues(op), [-5.0, 9.0]])
+        assert_same_counts(op, energies, (None, 0, 1, 2, 3, 4))
+
+
 class TestCrossValidate:
     def test_free_diagram_passes(self):
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
@@ -117,6 +200,22 @@ class TestCrossValidate:
         assert check.lo == pytest.approx(1.05, abs=1e-6)
         assert check.hi == pytest.approx(1.45, abs=1e-6)
         assert check.expected == "Band" and check.verdict == "Gap"
+
+    @pytest.mark.parametrize("k,shift", [(1, 1e-5), (2, -1e-5), (1, -1e-5), (2, 1e-5)])
+    def test_resolves_an_edge_moved_by_1e5(self, k, shift):
+        # the edges of v = (1, -1) are 2 -+ sqrt(5), 1 and 3; a 1e-5 sliver
+        # claimed with the wrong class is caught on the 1000 m / 2000 m chains
+        edges = list(find_band_edges(P2, LAT, -2.0, 6.0).edge_energies())
+        assert edges[1:3] == [1.0, 3.0]
+        moved = edges[k] + shift
+        edges[k] = moved
+        bad = diagram_from_edges(P2, LAT, -2.0, 6.0, edges)
+        with pytest.raises(ValidationMismatchError) as err:
+            cross_validate(bad, P2, LAT)
+        failing = [c for c in err.value.report.checks if not c.passed]
+        assert len(failing) == 1
+        lo, hi = sorted((moved, moved - shift))
+        assert lo < failing[0].lo < failing[0].hi < hi
 
     def test_rejects_nonpositive_margin(self):
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
