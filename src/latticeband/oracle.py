@@ -173,6 +173,12 @@ def cross_validate(
     MAX_EDGE_STATES, and Band otherwise; it must be Band inside claimed
     allowed zones and Gap inside claimed forbidden ones. Raises
     ValidationMismatchError (carrying the full report) if any segment fails.
+
+    Resolution: a claimed edge within _MERGE_DISTANCE (1e-6) of the
+    recomputed one cuts no segment, so it passes whatever class the sliver
+    between them has. With v = (1, -1) on [-2, 6], a claimed edge 1.0 + 1e-6
+    passes, and a shift of 2e-6 either way on either inner edge is caught.
+
     grid_points and tol drive the edge recomputation; pass the ones that
     built the diagram, or edges found to a coarser tol leave slivers that
     read Gap inside claimed bands.

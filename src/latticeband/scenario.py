@@ -26,7 +26,6 @@ import json
 import math
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -162,9 +161,11 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ReportSeries:
+    """One CSV series: column names and one sequence of values per column."""
+
     name: str
     columns: tuple
-    rows: tuple
+    data: tuple
 
 
 @dataclass(frozen=True)
@@ -355,22 +356,21 @@ def _energy_label(energy: float, used: set) -> str:
     return candidate
 
 
-def _trace_rows(trace) -> tuple:
+def _trace_columns(trace) -> tuple:
     recon = trace.reconstructed(clamp=CLAMP)
-    return tuple(
-        zip(range(trace.n_sites + 1), trace.s.tolist(), trace.ell.tolist(), recon.tolist())
-    )
+    return (np.arange(trace.n_sites + 1), trace.s, trace.ell, recon)
 
 
 _TRACE_COLUMNS = ("n", "psi_scaled", "log_amp", "psi_reconstructed_clamped")
 
 
-# Row functions of the per-energy kinds: (scenario, energy) -> rows.
+# Column functions of the per-energy kinds: (scenario, energy) -> one
+# sequence per column.
 
 
 def _trace(s, energy):
     ic = InitialCondition(*s.ic)
-    return _trace_rows(propagate(s.potential(), s.lattice(), energy, ic, s.n_sites))
+    return _trace_columns(propagate(s.potential(), s.lattice(), energy, ic, s.n_sites))
 
 
 def _floquet(s, energy):
@@ -379,7 +379,7 @@ def _floquet(s, energy):
     knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), s.m)
     ratio_res = floquet.ratio_periodicity_residual(trace, s.m)
     extras = (lam, kappa, float(knot_res), float(ratio_res))
-    return tuple(row + extras for row in _trace_rows(trace))
+    return _trace_columns(trace) + tuple(np.full(trace.n_sites + 1, x) for x in extras)
 
 
 def _effective(s, energy):
@@ -388,30 +388,29 @@ def _effective(s, energy):
     profile = floquet._fold(trace, pot)
     residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
     n = len(profile.w)
-    return tuple(
-        zip(range(n), profile.w.tolist(), profile.defined.tolist(), [float(residual)] * n)
-    )
+    return (np.arange(n), profile.w, profile.defined, np.full(n, float(residual)))
 
 
 def _sweep(s, energy):
     result = floquet.ic_sweep(s.potential(), s.lattice(), energy, s.angles, s.n_sites)
-    return tuple(zip(result.alphas, result.growths))
+    return (np.array(result.alphas), np.array(result.growths))
 
 
 def _beat(s, energy):
     pot, lat = s.potential(), s.lattice()
     trace = propagate(pot, lat, energy, InitialCondition(*s.ic), s.n_sites)
     est = floquet.beat_estimate(trace, pot, lat)
-    return tuple((pos, est.l_est, est.l_pred) for pos in est.minima_positions)
+    k = len(est.minima_positions)
+    return (np.array(est.minima_positions), np.full(k, est.l_est), np.full(k, est.l_pred))
 
 
-def _per_energy(columns, rows_at):
-    """Runner writing one <kind>_<label> series of rows_at(s, energy) per energy."""
+def _per_energy(columns, data_at):
+    """Runner writing one <kind>_<label> series of data_at(s, energy) per energy."""
 
     def run(s):
         used = set()
         series = [
-            ReportSeries(f"{s.kind}_{_energy_label(energy, used)}", columns, rows_at(s, energy))
+            ReportSeries(f"{s.kind}_{_energy_label(energy, used)}", columns, data_at(s, energy))
             for energy in s.energy_list()
         ]
         return series, None
@@ -433,29 +432,28 @@ def _band_diagram(s):
 
 
 def _band_scan(s):
-    energies = s.energy_list()
+    energies = np.array(s.energy_list())
     table = validate_potential(s.potential(), s.lattice())
     diagram = _band_diagram(s)
     with np.errstate(over="ignore", invalid="ignore"):
-        discs = bands._period_map(table, np.array(energies)).disc
+        discs = bands._period_map(table, energies).disc
     if not np.isfinite(discs).all():
         raise NumericalError(
             f"the period map overflows at {np.count_nonzero(~np.isfinite(discs))} "
             f"of the {len(energies)} scan energies"
         )
-    rows = [
-        (float(e), d, bands._zone_kind(d, s.tolerances.tol_edge).value)
-        for e, d in zip(energies, discs.tolist())
-    ]
+    classes = [bands._zone_kind(d, s.tolerances.tol_edge).value for d in discs.tolist()]
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy
     )
     series = [
-        ReportSeries(name="band-scan_scan", columns=("E", "D", "class"), rows=tuple(rows)),
+        ReportSeries(
+            name="band-scan_scan", columns=("E", "D", "class"), data=(energies, discs, classes)
+        ),
         ReportSeries(
             name="band-scan_edges",
             columns=("edge_energy", "which_root"),
-            rows=tuple((e.energy, e.level) for e in all_edges),
+            data=([e.energy for e in all_edges], [e.level for e in all_edges]),
         ),
     ]
     return series, None
@@ -477,14 +475,12 @@ def _validate(s):
     except ValidationMismatchError as exc:
         report = exc.report
         ok = False
-    rows = tuple(
-        (c.lo, c.hi, c.expected, c.verdict, c.passed) for c in report.checks
-    )
+    names = ("lo", "hi", "expected", "verdict", "passed")
     series = [
         ReportSeries(
             name="validate_report",
             columns=("interval_lo", "interval_hi", "expected", "oracle_verdict", "pass"),
-            rows=rows,
+            data=tuple([getattr(c, name) for c in report.checks] for name in names),
         )
     ]
     return series, ok
@@ -516,11 +512,10 @@ def run_scenario(s: Scenario, out_dir=None) -> RunResult:
     files = []
     for item in series:
         name = f"{item.name}.csv"
-        _write_csv(out / name, item.columns, item.rows)
+        _write_csv(out / name, item.columns, item.data)
         files.append(name)
     files.sort()
-    manifest_rows = tuple((name, digest) for name in files)
-    _write_csv(out / "manifest.csv", ("file", "scenario_hash"), manifest_rows)
+    _write_csv(out / "manifest.csv", ("file", "scenario_hash"), (files, [digest] * len(files)))
     files.append("manifest.csv")
     return RunResult(
         series=tuple(series),
@@ -539,21 +534,44 @@ def _conversion(kind: type) -> str:
     return "%s"
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """Write a header and one line per row tuple, all through one template.
+def _cells(column) -> list:
+    """Text of one column that is not a float64 array."""
+    if isinstance(column, np.ndarray):
+        if column.dtype == np.bool_:
+            return np.where(column, "1", "0").tolist()
+        if column.dtype.kind in "iu":
+            return list(map(str, column.tolist()))
+    return [_conversion(type(value)) % value for value in column]
 
-    Each column's conversion follows the type of its values. A column that
-    mixes types is turned into text value by value first, so every value
-    prints as its own type would.
+
+def _write_csv(path: Path, columns, data) -> None:
+    """Write a header and one line per row of the columns in `data`.
+
+    `data` holds one sequence per column. Every float64 array cell of the
+    file prints %.17g, each distinct value formatted once: one np.unique
+    runs over the bit patterns of all of them, so 0.0 and -0.0 and NaNs of
+    different payloads stay apart, and the text goes back through the
+    inverse index. Integer arrays print through str, bool arrays as 1 and 0.
+    Any other column is formatted value by value by its own type.
     """
-    conversions = []
-    for j in range(len(columns)):
-        kinds = set(map(type, map(itemgetter(j), rows)))
-        if len(kinds) > 1:
-            rows = [r[:j] + (_conversion(type(r[j])) % r[j],) + r[j + 1 :] for r in rows]
-            kinds = {str}
-        conversions.append(_conversion(next(iter(kinds), str)))
-    template = ",".join(conversions)
-    lines = [",".join(columns)]
-    lines.extend(template % row for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lengths = {len(column) for column in data}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {sorted(lengths)}")
+    n = lengths.pop()
+    # Cells and separators side by side, so the body is one join.
+    grid = np.empty((n, 2 * len(data)), dtype=object)
+    grid[:, 1::2] = ","
+    grid[:, -1] = "\n"
+    floats = [
+        j for j, col in enumerate(data) if isinstance(col, np.ndarray) and col.dtype == np.float64
+    ]
+    if floats:
+        bits = np.concatenate([data[j] for j in floats]).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
+        grid[:, [2 * j for j in floats]] = texts[inverse.reshape(len(floats), n).T]
+    for j, column in enumerate(data):
+        if j not in floats:
+            grid[:, 2 * j] = _cells(column)
+    text = ",".join(columns) + "\n" + "".join(grid.ravel().tolist())
+    path.write_text(text, encoding="utf-8")

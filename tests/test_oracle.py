@@ -205,17 +205,14 @@ class TestCrossValidate:
     def test_resolves_an_edge_moved_by_1e5(self, k, shift):
         # the edges of v = (1, -1) are 2 -+ sqrt(5), 1 and 3; a 1e-5 sliver
         # claimed with the wrong class is caught on the 1000 m / 2000 m chains
-        edges = list(find_band_edges(P2, LAT, -2.0, 6.0).edge_energies())
-        assert edges[1:3] == [1.0, 3.0]
-        moved = edges[k] + shift
-        edges[k] = moved
-        bad = diagram_from_edges(P2, LAT, -2.0, 6.0, edges)
-        with pytest.raises(ValidationMismatchError) as err:
-            cross_validate(bad, P2, LAT)
-        failing = [c for c in err.value.report.checks if not c.passed]
-        assert len(failing) == 1
-        lo, hi = sorted((moved, moved - shift))
-        assert lo < failing[0].lo < failing[0].hi < hi
+        assert_moved_edge_caught(k, shift)
+
+    @pytest.mark.parametrize("k,shift", [(1, 2e-6), (2, -2e-6), (1, -2e-6), (2, 2e-6)])
+    def test_resolves_an_edge_moved_by_twice_the_merge_distance(self, k, shift):
+        # recomputed edges within 1e-6 of a claimed one do not cut its zone,
+        # so 2e-6 is the resolution cross_validate documents
+        assert 2.0 * oracle._MERGE_DISTANCE == abs(shift)
+        assert_moved_edge_caught(k, shift)
 
     def test_rejects_nonpositive_margin(self):
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
@@ -284,3 +281,18 @@ class TestCountingFunctionAgreement:
                 # the plateau level is crossed (or touched, up to wall states)
                 # inside the +-2/N window around the edge
                 assert below - 2 <= target <= above + 2
+
+
+def assert_moved_edge_caught(k, shift):
+    """Move inner edge k of v = (1, -1) by shift: only that sliver fails."""
+    edges = list(find_band_edges(P2, LAT, -2.0, 6.0).edge_energies())
+    assert edges[1:3] == [1.0, 3.0]
+    moved = edges[k] + shift
+    edges[k] = moved
+    bad = diagram_from_edges(P2, LAT, -2.0, 6.0, edges)
+    with pytest.raises(ValidationMismatchError) as err:
+        cross_validate(bad, P2, LAT)
+    failing = [c for c in err.value.report.checks if not c.passed]
+    assert len(failing) == 1
+    lo, hi = sorted((moved, moved - shift))
+    assert lo < failing[0].lo < failing[0].hi < hi

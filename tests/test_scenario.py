@@ -304,9 +304,11 @@ def reference_cell(value) -> str:
     return str(value)
 
 
-def reference_csv(columns, rows) -> str:
+def reference_csv(columns, data) -> str:
+    """The CSV of one sequence per column, each cell formatted by itself."""
+    data = [col.tolist() if isinstance(col, np.ndarray) else col for col in data]
     lines = [",".join(columns)]
-    lines.extend(",".join(reference_cell(v) for v in row) for row in rows)
+    lines.extend(",".join(reference_cell(v) for v in row) for row in zip(*data))
     return "\n".join(lines) + "\n"
 
 
@@ -317,12 +319,22 @@ SPECIAL_FLOATS = [
 MIXED_NUMBERS = [1, 2.5, 10**20, 1e16, 2**53 + 1, -0.0, True, -(2**70), 3.0, 0, math.nan, False]
 
 
+# Bit patterns the file-wide unique must keep apart: both zeros, NaNs with
+# different payloads and signs, infinities, subnormals.
+REPEATED_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0x7FF8000000000001,
+    0xFFF8000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+    0x800FFFFFFFFFFFFF, 0x3FF0000000000000, 0x3FF0000000000001,
+]
+
+
 class TestWriteCsv:
     def test_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(2024)
         bits = rng.integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
         floats = SPECIAL_FLOATS + bits.view(np.float64).tolist()
         n = len(floats)
+        pool = np.array(REPEATED_BITS, dtype=np.uint64).view(np.float64)
         columns = {
             "int": [(-1) ** k * k**5 + (10**20 if k % 7 == 0 else 0) for k in range(n)],
             "float": floats,
@@ -333,16 +345,28 @@ class TestWriteCsv:
             "np_int64": [np.int64(k * 10**14) for k in range(n)],
             "float_and_np_float64": [x if k % 2 else np.float64(x) for k, x in enumerate(floats)],
             "int_and_float": [k if k % 3 else float(k) / 7 for k in range(n)],
+            "float_array": np.array(floats),
+            "repeated": rng.choice(pool, n),
+            "repeated_again": rng.choice(pool, n),
+            "repeated_or_random": np.where(rng.random(n) < 0.5, rng.choice(pool, n), floats),
+            "int_array": rng.integers(-(2**63), 2**63 - 1, n, endpoint=True),
+            "uint_array": rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True),
+            "bool_array": rng.random(n) < 0.5,
         }
-        rows = tuple(zip(*columns.values()))
         path = tmp_path / "out.csv"
-        _write_csv(path, tuple(columns), rows)
-        assert path.read_text() == reference_csv(tuple(columns), rows)
+        _write_csv(path, tuple(columns), tuple(columns.values()))
+        assert path.read_text() == reference_csv(tuple(columns), columns.values())
 
     def test_single_column_and_no_rows(self, tmp_path):
         path = tmp_path / "out.csv"
-        rows = tuple((x,) for x in MIXED_NUMBERS + SPECIAL_FLOATS)
-        _write_csv(path, ("x",), rows)
-        assert path.read_text() == reference_csv(("x",), rows)
-        _write_csv(path, ("a", "b"), ())
+        for column in (MIXED_NUMBERS + SPECIAL_FLOATS, np.array(SPECIAL_FLOATS)):
+            _write_csv(path, ("x",), (column,))
+            assert path.read_text() == reference_csv(("x",), (column,))
+        _write_csv(path, ("a", "b"), ((), ()))
         assert path.read_text() == "a,b\n"
+        _write_csv(path, ("a", "b"), (np.array([]), np.array([], dtype=int)))
+        assert path.read_text() == "a,b\n"
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError, match="unequal length"):
+            _write_csv(tmp_path / "out.csv", ("a", "b"), (np.zeros(3), [1, 2]))
