@@ -127,8 +127,9 @@ class FloquetPair:
 
 def _period_map(table: CoefficientTable, energy) -> Monodromy:
     t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
-    for r in range(table.m):
-        a, b = table.alpha(r, energy), table.beta[r]
+    # a is table.alpha(r, energy) inlined: the same operations in the same order
+    for c, h, b in zip(table.c, table.h, table.beta):
+        a = (c - energy) / h
         t11, t12, t21, t22 = (
             a * t11 + b * t21,
             a * t12 + b * t22,

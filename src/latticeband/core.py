@@ -23,6 +23,7 @@ the same ell, which keeps neighbour ratios exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -38,6 +39,8 @@ HOPPING_EPSILON = 1e-9
 RESCALE_LIMIT = 1e6
 # Every emitted trace satisfies the recurrence to this relative residual.
 RESIDUAL_TOLERANCE = 1e-10
+# Coefficient tables kept by validate_potential, least recently used dropped first.
+TABLE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,8 @@ class LatticeSpec:
             raise ValueError(f"lattice step must be positive, got {self.delta}")
         if not self.delta * self.delta > 1.0 / sys.float_info.max:
             raise ValueError(f"lattice step {self.delta} is too small: 1/d^2 overflows")
+        # equal steps are equal cache keys, so they must give equal-typed tables
+        object.__setattr__(self, "delta", float(self.delta))
 
     @property
     def inv_step_sq(self) -> float:
@@ -186,11 +191,19 @@ class SolutionTrace:
         return out
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def validate_potential(pot: PeriodicPotential, lat: LatticeSpec) -> CoefficientTable:
     """Check the operator and return its step table.
 
     Rejects hopping that degenerates or changes sign, and coefficients that
     are not finite (a lattice step so small that 2/d^2 overflows).
+
+    The table is memoised per (pot, lat), the last TABLE_CACHE_SIZE pairs
+    kept. That is safe because both are frozen dataclasses of plain floats,
+    so equal keys build the same table bit for bit (a signed zero in v or u
+    meets the nonzero 2/d^2 or 1/d^2 and leaves no trace), and a table of
+    float tuples cannot change once built. A rejected operator is not
+    cached, so it raises on every call.
     """
     inv = lat.inv_step_sq
     h = tuple([inv - u for u in pot.u])

@@ -11,8 +11,15 @@ pass over a chain of n2 = 2000 m sites also gives the counts of its leading
 n1 = 1000 m sites. Between two energies inside a band the count grows by one
 state per added period; inside a gap it stays at the handful of wall-bound
 states a truncation can pin there, whatever the length (gap labelling). Every
-zone of a diagram is probed this way and judged Band or Gap, on a path that
-never touches the transfer-matrix code.
+zone of a diagram is probed this way and judged Band or Gap.
+
+The verdicts come from pivot counts alone. Two things are shared with the
+transfer-matrix path: the chain's entries are read from the same memoised
+CoefficientTable (c on the diagonal, -h beside it), and cross_validate places
+its cuts between segments at edges recomputed by find_band_edges (period map
+and Bloch eigenvalues). A recomputed edge only decides where a segment ends,
+never its verdict, but a wrong claimed edge that a wrong recomputed edge
+matches to within _MERGE_DISTANCE leaves no segment to contradict.
 """
 
 from __future__ import annotations

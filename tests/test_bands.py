@@ -11,10 +11,12 @@ from latticeband import (
     BandEdge,
     InitialCondition,
     LatticeSpec,
+    Monodromy,
     NumericalError,
     OutsideAllowedZoneError,
     PeriodicPotential,
     SpectralClass,
+    ZoneClass,
     bloch_phase,
     classify_energy,
     diagram_from_edges,
@@ -23,7 +25,9 @@ from latticeband import (
     floquet_multipliers,
     monodromy,
     propagate,
+    validate_potential,
 )
+from latticeband.bands import TOL_EDGE
 
 FREE = PeriodicPotential.free()
 P2 = PeriodicPotential.local([1.0, -1.0])
@@ -413,6 +417,81 @@ class TestBlochPhase:
     def test_forbidden_zone_rejected(self):
         with pytest.raises(OutsideAllowedZoneError):
             bloch_phase(FREE, LAT, 5.0)
+
+
+def reference_period_map(table, energy):
+    """The period map with one table.alpha call per site."""
+    t11, t12, t21, t22 = 1.0, 0.0, 0.0, 1.0
+    for r in range(table.m):
+        a, b = table.alpha(r, energy), table.beta[r]
+        t11, t12, t21, t22 = (a * t11 + b * t21, a * t12 + b * t22, t11, t12)
+    return Monodromy(t11=t11, t12=t12, t21=t21, t22=t22)
+
+
+def reference_queries(pot, lat, energy):
+    """repr of monodromy, classify_energy, floquet_multipliers and bloch_phase,
+    computed on a freshly built (uncached) coefficient table."""
+    table = validate_potential.__wrapped__(pot, lat)
+    mono = reference_period_map(table, energy)
+    d = mono.disc
+    kind = latticeband.bands._zone_kind(d, TOL_EDGE)
+    phase = math.acos(min(1.0, max(-1.0, d / 2.0))) if abs(d) <= 2.0 + TOL_EDGE else None
+    pair = latticeband.bands._multipliers(table, mono, energy, TOL_EDGE)
+    return repr(mono), repr(ZoneClass(kind=kind, disc=d)), repr(pair), phase
+
+
+def queries(pot, lat, energy):
+    zc = classify_energy(pot, lat, energy)
+    phase = None if zc.kind == SpectralClass.FORBIDDEN else bloch_phase(pot, lat, energy)
+    pair = floquet_multipliers(pot, lat, energy)
+    return repr(monodromy(pot, lat, energy)), repr(zc), repr(pair), phase
+
+
+class TestMemoisedPointQueries:
+    def test_queries_match_the_uncached_alpha_loop(self):
+        rng = np.random.default_rng(90)
+        for m in rng.integers(1, 51, size=10).tolist():
+            v, u = rng.uniform(-1.0, 1.0, m), rng.uniform(-0.2, 0.2, m)
+            lat = LatticeSpec(float(rng.choice([1.0, 0.5, 0.8])))
+            inv = lat.inv_step_sq
+            lo, hi = -1.5 * inv - 1.5, 4.0 * inv + 1.5
+            diagram = find_band_edges(PeriodicPotential(v=v, u=u), lat, lo, hi)
+            energies = np.linspace(lo, hi, 61).tolist() + [
+                e.energy for e in diagram.edges + diagram.degenerate_edges
+            ]
+            for energy in energies:
+                # an equal but distinct potential: the table comes from the cache
+                pot = PeriodicPotential(v=tuple(v), u=tuple(u))
+                mono, zc, pair, phase = queries(pot, lat, energy)
+                ref_mono, ref_zc, ref_pair, ref_phase = reference_queries(pot, lat, energy)
+                assert (mono, zc, pair) == (ref_mono, ref_zc, ref_pair), (m, energy)
+                if ref_phase is None:
+                    with pytest.raises(OutsideAllowedZoneError):
+                        bloch_phase(pot, lat, energy)
+                else:
+                    assert phase.hex() == ref_phase.hex(), (m, energy)
+
+    @pytest.mark.parametrize(
+        "warm,query",
+        [(np.float64(0.6), 0.6), (0.6, np.float64(0.6))],
+        ids=["numpy-then-float", "float-then-numpy"],
+    )
+    def test_step_type_does_not_leak_through_the_cache(self, warm, query):
+        # LatticeSpec(np.float64(x)) == LatticeSpec(x) is one cache key, so the
+        # table it holds must not carry the first caller's numpy scalars
+        pot = random_potential(np.random.default_rng(91), 3)
+        validate_potential.cache_clear()
+        energies = (-1.0, 2.5, 3.0, 9.0)
+        for energy in energies:
+            queries(pot, LatticeSpec(warm), energy)
+        for energy in energies:
+            got = queries(pot, LatticeSpec(query), energy)
+            assert got == reference_queries(pot, LatticeSpec(0.6), energy)
+            pair = floquet_multipliers(pot, LatticeSpec(query), energy)
+            for lam in (pair.lambda_plus, pair.lambda_minus):
+                assert type(lam) in (float, complex)
+            assert type(pair.kappa_site) is float
+            assert type(classify_energy(pot, LatticeSpec(query), energy).disc) is float
 
 
 class TestDirichletSpectrum:

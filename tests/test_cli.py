@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from latticeband import cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -189,3 +192,20 @@ def test_validate_equals_run_of_the_validate_kind(tmp_path):
     cp = run_cli("run", as_validate, "--out", tmp_path / "kind")
     assert cp.returncode == 0, cp.stderr
     assert written(tmp_path / "command") == written(tmp_path / "kind")
+
+
+def test_validate_outputs_match_pinned_digests(tmp_path):
+    # golden/validate_digests.sha256 holds the sha256 of every file that
+    # `latticeband validate` writes for these scenarios, as
+    # "<digest>  <scenario>/<file>" lines (sha256sum -c reads it too)
+    golden = Path(__file__).resolve().parent / "golden" / "validate_digests.sha256"
+    pinned = {name: digest for digest, name in map(str.split, golden.read_text().splitlines())}
+    codes = {"band_scan_period2": 0, "validate_period2": 0, "corrupt_edges": 3}
+    assert sorted({name.split("/")[0] for name in pinned}) == sorted(codes)
+    got = {}
+    for name, code in codes.items():
+        out = tmp_path / name
+        assert cli.main(["validate", str(SCENARIO_DIR / f"{name}.scenario"), "--out", str(out)]) == code
+        for f in out.iterdir():
+            got[f"{name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    assert got == pinned

@@ -74,6 +74,50 @@ class TestTypes:
         with pytest.raises(HoppingDegenerateError):
             validate_potential(PeriodicPotential(v=(0.0, 0.0), u=(0.5, 1.5)), LAT)
 
+    def test_lattice_step_is_stored_as_float(self):
+        for delta in (np.float64(0.5), 1, np.float32(0.25)):
+            lat = LatticeSpec(delta)
+            assert type(lat.delta) is float and lat.delta == float(delta)
+            assert type(lat.inv_step_sq) is float
+
+
+class TestMemoisedTable:
+    @pytest.mark.parametrize(
+        "pot,delta,error",
+        [
+            (PeriodicPotential(v=(0.0,), u=(1.0,)), 1.0, HoppingDegenerateError),
+            (PeriodicPotential(v=(0.0, 0.0), u=(0.5, 1.5)), 1.0, HoppingDegenerateError),
+            (FREE, 1e-154, ValueError),
+        ],
+    )
+    def test_rejected_operator_raises_on_every_call(self, pot, delta, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                validate_potential(
+                    PeriodicPotential(v=pot.v, u=pot.u), LatticeSpec(delta=delta)
+                )
+
+    def test_equal_keys_share_the_uncached_table(self):
+        rng = np.random.default_rng(9)
+        for m in (1, 2, 7, 50):
+            v, u = rng.uniform(-1.0, 1.0, m), rng.uniform(-0.2, 0.2, m)
+            first = validate_potential(PeriodicPotential(v=v, u=u), LatticeSpec(0.7))
+            pot, lat = PeriodicPotential(v=tuple(v), u=tuple(u)), LatticeSpec(0.7)
+            table = validate_potential(pot, lat)
+            assert table is first
+            assert table == validate_potential.__wrapped__(pot, lat)
+            assert all(type(x) is float for x in table.c + table.h + table.beta)
+
+    def test_signed_zeros_share_one_table(self):
+        # 0.0 == -0.0 makes these one key; the tables agree bit for bit anyway
+        plus = PeriodicPotential(v=(0.0, 0.3), u=(0.0, 0.1))
+        minus = PeriodicPotential(v=(-0.0, 0.3), u=(-0.0, 0.1))
+        assert plus == minus
+        for lat in (LAT, LatticeSpec(0.3)):
+            a = validate_potential.__wrapped__(plus, lat)
+            b = validate_potential.__wrapped__(minus, lat)
+            assert [x.hex() for x in a.c + a.h + a.beta] == [x.hex() for x in b.c + b.h + b.beta]
+
 
 def step_coefficients(pot, lat, energy, n):
     """(a(n), b(n)) of the step at site n, read from the coefficient table."""
