@@ -82,6 +82,12 @@ class PeriodicPotential:
             raise ValueError(
                 f"v and u must have equal length, got {len(self.v)} and {len(self.u)}"
             )
+        # validate_potential's cache hashes its key on every call; hash the 2m
+        # floats once, to the value the generated __hash__ would give
+        object.__setattr__(self, "_hash", hash((self.v, self.u)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

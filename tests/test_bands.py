@@ -73,13 +73,42 @@ class TestMonodromy:
             for energy in rng.uniform(-2.0, 6.0, size=5):
                 assert abs(monodromy(pot, LAT, float(energy)).det - 1.0) <= 1e-10
 
-    def test_energy_array_matches_scalar_calls(self):
-        pot = random_potential(np.random.default_rng(50), 50)
-        energies = np.linspace(-3.0, 7.0, 2001)
+    def test_energy_array_matches_scalar_calls(self, monkeypatch):
+        # m <= 4 walks arrays as floats, m >= 5 stacks the two states; a block
+        # of 8 elements forces one phase per block of a, and the 2006 lanes
+        # split m = 5 and m = 50 into a full and a partial block by default
+        far = np.array([1e300, -1e300, np.inf, -np.inf, np.nan])
+        energies = np.concatenate([np.linspace(-3.0, 7.0, 2001), far])
+        cases = [
+            (random_potential(np.random.default_rng(50), m), energies)
+            for m in (1, 2, 3, 4, 5, 8, 20, 50)
+        ]
+        # the period map overflows at both ends of [-3, 7] for this potential
+        rng = np.random.default_rng(7)
+        long = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 500)), u=tuple(rng.uniform(-0.2, 0.2, 500))
+        )
+        cases.append((long, np.concatenate([[-3.0, 7.0, 2.0], far])))
+        for pot, lanes in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                scalar = [monodromy(pot, LAT, float(e)) for e in lanes]
+            for block in (latticeband.bands._BLOCK, 8):
+                monkeypatch.setattr(latticeband.bands, "_BLOCK", block)
+                assert_lanes_match(pot, lanes, scalar)
+                assert_lanes_match(pot, lanes[:6].reshape(3, 2).T, scalar[:6:2] + scalar[1:6:2])
+                assert_lanes_match(pot, np.array(lanes[-1]), scalar[-1:])
+                assert_lanes_match(pot, lanes[:0], [])
+
+
+def assert_lanes_match(pot, energies, scalar):
+    """monodromy over an energy array equals, lane by lane in C order, the
+    given scalar monodromies, compared with tobytes."""
+    with np.errstate(over="ignore", invalid="ignore"):
         batch = monodromy(pot, LAT, energies)
-        for name in ("t11", "t12", "t21", "t22"):
-            scalar = [getattr(monodromy(pot, LAT, float(e)), name) for e in energies]
-            assert np.array(scalar).tobytes() == getattr(batch, name).tobytes()
+    for name in ("t11", "t12", "t21", "t22"):
+        lanes = np.broadcast_to(getattr(batch, name), np.shape(energies))
+        expected = np.array([getattr(mono, name) for mono in scalar], dtype=float)
+        assert np.ravel(lanes).tobytes() == expected.tobytes(), (pot.m, name, np.shape(energies))
 
 
 class TestClassify:

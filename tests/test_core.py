@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -117,6 +119,20 @@ class TestMemoisedTable:
             a = validate_potential.__wrapped__(plus, lat)
             b = validate_potential.__wrapped__(minus, lat)
             assert [x.hex() for x in a.c + a.h + a.beta] == [x.hex() for x in b.c + b.h + b.beta]
+
+    def test_equal_potentials_hash_equal_and_share_one_entry(self):
+        plus = PeriodicPotential(v=(0.0, 0.3), u=(0.0, 0.1))
+        minus = PeriodicPotential(v=(-0.0, 0.3), u=(-0.0, 0.1))
+        moved = dataclasses.replace(plus, v=(0.5, -0.0))
+        for pot in (plus, minus, moved, pickle.loads(pickle.dumps(moved))):
+            assert hash(pot) == hash((pot.v, pot.u))
+        assert hash(plus) == hash(minus)
+        assert pickle.loads(pickle.dumps(moved)) == moved
+        lat = LatticeSpec(0.61)
+        before = validate_potential.cache_info()
+        assert validate_potential(plus, lat) is validate_potential(minus, lat)
+        after = validate_potential.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def step_coefficients(pot, lat, energy, n):
