@@ -15,7 +15,9 @@ The 2m zone edges are the eigenvalues of the m x m Bloch matrices at
 theta = 0 (D = +2) and theta = pi (D = -2), and the m - 1 hard-wall levels,
 where t21 vanishes, those of their leading (m-1)-site block. Each
 eigenvalue only names a cell of a uniform energy grid; one batched
-bisection of D -+ 2 or t21 in that cell gives the reported energy.
+bisection of D -+ 2 or t21 in that cell gives the reported energy. The
+eigenvalue also predicts the path of that bisection, so one period-map call
+usually makes all of its steps, and the bits do not depend on the guess.
 """
 
 from __future__ import annotations
@@ -203,28 +205,62 @@ def classify_energy(
     return ZoneClass(kind=_zone_kind(d, tol_edge), disc=d)
 
 
-def _bisect(value, lo, hi, f_lo, level, tol):
+def _halve(lo, hi, tol):
+    """Midpoints of brackets, and which of them a scalar bisection would take.
+
+    A lane stops at width tol or at float spacing, where the midpoint is no
+    longer strictly inside its bracket.
+    """
+    mid = 0.5 * (lo + hi)
+    return mid, (hi - lo > tol) & (lo < mid) & (mid < hi)
+
+
+def _bisect(value, lo, hi, f_lo, level, guess, tol):
     """Roots of value(E) - level, one per bracket [lo, hi] with a sign change.
 
-    All brackets advance together, with one call of value per step. Each lane
-    halves its bracket as a scalar bisection would: it stops on an exact zero,
-    or at width tol or float spacing with the centre of its bracket.
+    Each lane halves its bracket as a scalar bisection would: it stops on an
+    exact zero, or at width tol or float spacing with the centre of its
+    bracket. First each lane walks the path its bisection would take if its
+    root lay at guess, and value is evaluated at every midpoint of every
+    path in one call. A lane whose signs there steer it along its path is
+    done. A lane whose sign sends it the other way at some step, or is an
+    exact zero there, takes up its bisection from the bracket of that step;
+    these lanes advance together with one call of value per step. value
+    must treat each lane as a scalar call would, so the roots are the same
+    bit for bit whatever the guesses.
     """
-    lo, hi, f_lo, level = (np.array(a, dtype=float) for a in (lo, hi, f_lo, level))
+    lo, hi, level, guess = (np.array(x, dtype=float) for x in (lo, hi, level, guess))
+    # f_lo only ever gives way to a value of its own sign, so that sign
+    # steers every step
+    neg = np.array(f_lo, dtype=float) < 0.0
     root = np.empty(len(lo))
-    live = np.arange(len(lo))
+    a, b, go, path = lo, hi, np.ones(len(lo), dtype=bool), []
+    while go.any():
+        mid, halves = _halve(a, b, tol)
+        root[go & ~halves] = mid[go & ~halves]
+        go = go & halves
+        left = guess < mid
+        path.append((a, b, mid, go, left))
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    path_lo, path_hi, path_mid, stepping, path_left = (np.array(x) for x in zip(*path))
+    steps, lanes = np.nonzero(stepping)
+    f_mid = value(path_mid[steps, lanes]) - level[lanes]
+    # where a lane's sign sends it off its path, or is an exact zero
+    off = np.zeros(stepping.shape, dtype=bool)
+    off[steps, lanes] = (path_left[steps, lanes] == ((f_mid < 0.0) == neg[lanes])) | (f_mid == 0.0)
+    live = np.flatnonzero(off.any(axis=0))
+    step = off.argmax(axis=0)[live]
+    lo[live], hi[live] = path_lo[step, live], path_hi[step, live]
     while live.size:
-        a, b = lo[live], hi[live]
-        mid = 0.5 * (a + b)
-        go = (b - a > tol) & (a < mid) & (mid < b)
+        mid, go = _halve(lo[live], hi[live], tol)
         root[live[~go]] = mid[~go]
         live, mid = live[go], mid[go]
         f_mid = value(mid) - level[live]
         zero = f_mid == 0.0
         root[live[zero]] = mid[zero]
-        left = (f_lo[live] < 0.0) != (f_mid < 0.0)
+        left = neg[live] != (f_mid < 0.0)
         hi[live[left]] = mid[left]
-        lo[live[~left]], f_lo[live[~left]] = mid[~left], f_mid[~left]
+        lo[live[~left]] = mid[~left]
         live = live[~zero]
     return root.tolist()
 
@@ -269,8 +305,10 @@ def _roots(value, levels, e_lo, step, grid_points, tol):
     holds between samples further apart, or if a sample less than two cells
     from another is not finite (the period map overflows, as for periods in
     the thousands; a lone sample at a far range end may overflow). The
-    brackets of all levels are bisected together. Returns the roots and the
-    degenerate roots on the grid, as sorted (energy, level) lists.
+    brackets of all levels are bisected together, each guessing its root at
+    the eigenvalue that named its cell (where none lies inside the bracket,
+    the nearest one clipped into it). Returns the roots and the degenerate
+    roots on the grid, as sorted (energy, level) lists.
     """
     n = grid_points
     x_last = e_lo + (n - 1) * step
@@ -310,13 +348,20 @@ def _roots(value, levels, e_lo, step, grid_points, tol):
                 f"do not match the {found} roots the scan sees there"
             )
         inside = (e_lo <= x) & (x <= x_last)
+        # the first eigenvalue from a bracket's lower end on, clipped into the bracket
+        near_eig = lam[np.minimum(np.searchsorted(lam, x[cross]), len(lam) - 1)]
+        guess = np.clip(near_eig, x[cross], x[cross + 1]).tolist()
         x, g = x.tolist(), g.tolist()
-        brackets += [(x[k], x[k + 1], g[k], level) for k in cross if inside[k + 1] and inside[k]]
+        brackets += [
+            (x[k], x[k + 1], g[k], level, e)
+            for k, e in zip(cross, guess)
+            if inside[k + 1] and inside[k]
+        ]
         roots += [(x[k], level) for k in zero if inside[k]]
         degenerate += [(x[k], level) for k in np.append(touch, double) if inside[k]]
     if brackets:
-        lo, hi, f_lo, level = zip(*brackets)
-        roots += zip(_bisect(value, lo, hi, f_lo, level, tol), level)
+        lo, hi, f_lo, level, guess = zip(*brackets)
+        roots += zip(_bisect(value, lo, hi, f_lo, level, guess, tol), level)
     return sorted(roots), sorted(degenerate)
 
 
@@ -354,8 +399,11 @@ def find_band_edges(
     Integrable Nonlinear Lattices, ch. 7): theta = 0 gives the D = +2 edges
     and theta = pi the D = -2 ones. Each eigenvalue names its cell on a
     uniform grid of grid_points energies, and D -+ 2 is bisected in that
-    cell to width tol, so the refined bits do not depend on the rounding of
-    the eigenvalues. A closed gap, where D touches the level without
+    cell to width tol. The eigenvalue predicts the path of that bisection:
+    one period-map call evaluates D at every midpoint of every predicted
+    path, and later calls serve only brackets whose signs leave theirs. The
+    refined bits depend neither on the rounding of the eigenvalues nor on
+    the prediction. A closed gap, where D touches the level without
     crossing, is one degenerate edge that does not cut a zone. Zones are
     classed by D at their midpoints. NumericalError means some eigenvalue
     matched no root, or the period map overflowed next to one.
@@ -506,9 +554,10 @@ def dirichlet_spectrum(
     These are the eigenvalues of the hard-wall well cut from a single period
     of the potential (the m-1 sites at phases 0..m-2 between two infinite
     walls), the leading block of the Bloch matrix. Each names its cell on the
-    grid of grid_points energies, where t21 is bisected to width tol, as for
-    find_band_edges; a degenerate pair is listed twice. For m = 1 there is no
-    such site and the list is empty.
+    grid of grid_points energies, where t21 is bisected to width tol along
+    the path the eigenvalue predicts, as for find_band_edges; a degenerate
+    pair is listed twice. For m = 1 there is no such site and the list is
+    empty.
     """
     step = _grid_step(e_lo, e_hi, grid_points)
     if pot.m == 1:

@@ -3,8 +3,8 @@
     latticeband run <scenario-file> [--out DIR] [--grid N] [--tol X]
     latticeband validate <scenario-file> [--out DIR] [--grid N] [--tol X]
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 oracle validation mismatch.
+Exit codes: 0 success, 1 configuration error, 2 numerical failure (an
+out-of-memory failure included), 3 oracle validation mismatch.
 """
 
 from __future__ import annotations
@@ -62,6 +62,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"latticeband: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a bare MemoryError names nothing
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"latticeband: numerical failure: out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
     for name in result.files:

@@ -126,6 +126,43 @@ class TestClassify:
         assert classify_energy(FREE, LAT, energy).kind == kind
 
 
+def reference_bisect(value, lo, hi, f_lo, level, guess, tol):
+    """The batched bisection without a predicted path: one call of value per step."""
+    lo, hi, f_lo, level = (np.array(a, dtype=float) for a in (lo, hi, f_lo, level))
+    root = np.empty(len(lo))
+    live = np.arange(len(lo))
+    while live.size:
+        a, b = lo[live], hi[live]
+        mid = 0.5 * (a + b)
+        go = (b - a > tol) & (a < mid) & (mid < b)
+        root[live[~go]] = mid[~go]
+        live, mid = live[go], mid[go]
+        f_mid = value(mid) - level[live]
+        zero = f_mid == 0.0
+        root[live[zero]] = mid[zero]
+        left = (f_lo[live] < 0.0) != (f_mid < 0.0)
+        hi[live[left]] = mid[left]
+        lo[live[~left]], f_lo[live[~left]] = mid[~left], f_mid[~left]
+        live = live[~zero]
+    return root.tolist()
+
+
+def count_value_calls(monkeypatch):
+    """Record the number of lanes in each call of value that _bisect makes."""
+    calls = []
+    bisect = latticeband.bands._bisect
+
+    def counting(value, *args):
+        def counted(energy):
+            calls.append(len(energy))
+            return value(energy)
+
+        return bisect(counted, *args)
+
+    monkeypatch.setattr(latticeband.bands, "_bisect", counting)
+    return calls
+
+
 class TestFindBandEdges:
     def test_free_band(self):
         diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
@@ -283,29 +320,101 @@ class TestFindBandEdges:
                     lo, f_lo = mid, f_mid
             return 0.5 * (lo + hi)
 
-        pot = random_potential(np.random.default_rng(8), 8)
-        table = latticeband.bands.validate_potential(pot, LAT)
+        # whatever the guess, every root equals a scalar bisection's, bit for bit
+        rng = np.random.default_rng(8)
+        for m in (1, 2, 8, 20):
+            pot = random_potential(rng, m)
+            table = latticeband.bands.validate_potential(pot, LAT)
 
-        def disc(energy):
-            return latticeband.bands._period_map(table, energy).disc
+            def disc(energy, table=table):
+                return latticeband.bands._period_map(table, energy).disc
 
-        # every sign-changing cell of a 2001-point grid, both levels
-        xs = [-3.0 + i * 0.005 for i in range(2001)]
-        gs = disc(np.array(xs)).tolist()
-        brackets = [
-            (xs[i], xs[i + 1], gs[i] - level, level)
-            for level in (2.0, -2.0)
-            for i in range(2000)
-            if (gs[i] - level) * (gs[i + 1] - level) < 0.0
-        ]
-        assert len(brackets) == 16
-        for tol in (1e-10, 0.0):
-            got = latticeband.bands._bisect(disc, *zip(*brackets), tol)
-            want = [
-                scalar_bisect(lambda x, level=level: disc(x) - level, lo, hi, f_lo, tol)
-                for lo, hi, f_lo, level in brackets
+            # every sign-changing cell of a 2001-point grid, both levels
+            xs = [-3.0 + i * 0.005 for i in range(2001)]
+            gs = disc(np.array(xs)).tolist()
+            brackets = [
+                (xs[i], xs[i + 1], gs[i] - level, level)
+                for level in (2.0, -2.0)
+                for i in range(2000)
+                if (gs[i] - level) * (gs[i + 1] - level) < 0.0
             ]
-            assert got == want
+            assert len(brackets) == 2 * m
+            lo, hi, f_lo, level = (np.array(x) for x in zip(*brackets))
+            for tol in (1e-10, 0.0):
+                want = [
+                    scalar_bisect(lambda x, level=level: disc(x) - level, *bracket, tol)
+                    for *bracket, level in brackets
+                ]
+                guesses = [
+                    want,
+                    np.array(want) - 1e-13,
+                    np.array(want) + 1e-13,
+                    lo,
+                    hi,
+                    rng.uniform(lo, hi),
+                    rng.uniform(lo, hi),
+                    np.full(len(lo), np.inf),
+                    np.full(len(lo), -np.inf),
+                    np.full(len(lo), np.nan),
+                ]
+                for guess in guesses:
+                    got = latticeband.bands._bisect(disc, lo, hi, f_lo, level, guess, tol)
+                    assert got == want
+
+    def test_bisection_of_monotone_functions_matches_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # away from 0, where a zero tolerance would bisect through subnormals
+        ends = st.floats(0.5, 20.0)
+        guesses = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([np.inf, -np.inf, np.nan]))
+
+        @hypothesis.settings(max_examples=30, deadline=None)
+        @hypothesis.given(
+            st.lists(st.tuples(ends, ends, ends, guesses), min_size=1, max_size=4),
+            st.sampled_from([1e-10, 0.0, 1e-3]),
+            st.sampled_from([1.0, -1.0]),
+        )
+        def check(lanes, tol, sign):
+            def value(energy):
+                return sign * energy * (energy * energy + 0.5)
+
+            lo, hi, root, guess = (np.array(x) for x in zip(*lanes))
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi) + 1e-6
+            # each lane bisects for the level value takes at its own root
+            level = value(np.clip(root, lo, hi))
+            f_lo = value(lo) - level
+            want = reference_bisect(value, lo, hi, f_lo, level, guess, tol)
+            assert latticeband.bands._bisect(value, lo, hi, f_lo, level, guess, tol) == want
+
+        check()
+
+    def test_guesses_off_the_roots_give_the_reference_scan(self, monkeypatch):
+        # Mathieu's 2 cos 2x sampled on m = 400 sites: the Bloch eigenvalues
+        # miss the roots of D -+ 2 by about 1e-6, so lanes leave their
+        # predicted paths and bisect on with further calls of value
+        m = 400
+        x = np.arange(m) * (math.pi / m)
+        pot = PeriodicPotential(v=tuple(2.0 * np.cos(2.0 * x)), u=(0.0,) * m)
+        lat = LatticeSpec(delta=math.pi / m)
+        def scans():
+            return repr(find_band_edges(pot, lat, -3.0, 30.0)), repr(
+                dirichlet_spectrum(pot, lat, -3.0, 30.0)
+            )
+
+        calls = count_value_calls(monkeypatch)
+        got = scans()
+        # beyond the one prefetch call per scan
+        assert len(calls) > 2
+        monkeypatch.setattr(latticeband.bands, "_bisect", reference_bisect)
+        assert got == scans()
+
+    def test_eigenvalue_guesses_need_one_call(self, monkeypatch):
+        pot = random_potential(np.random.default_rng(3), 8)
+        calls = count_value_calls(monkeypatch)
+        assert len(find_band_edges(pot, LAT, -3.0, 7.0).edges) == 16
+        assert len(calls) == 1
+        assert len(dirichlet_spectrum(pot, LAT, -3.0, 7.0)) == 7
+        assert len(calls) == 2
 
     def test_two_eigenvalues_in_one_cell(self):
         # grid 0, 0.1, ..., 1.5: both roots of (E - 0.55)^2 - w^2 lie in the

@@ -209,3 +209,17 @@ def test_validate_outputs_match_pinned_digests(tmp_path):
         for f in out.iterdir():
             got[f"{name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
     assert got == pinned
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 74.5 GiB for an array", ""])
+def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, message):
+    # stands in for the dense Bloch matrix of a very long period
+    def no_memory(matrix):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_memory)
+    scenario = SCENARIO_DIR / "band_scan_period2.scenario"
+    assert cli.main(["run", str(scenario), "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("latticeband: numerical failure: out of memory")
+    assert message in err and err.count("\n") == 1
