@@ -38,7 +38,7 @@ from .core import (
     propagate,
     validate_potential,
 )
-from .errors import ConfigError, LatticeBandError, NumericalError, ValidationMismatchError
+from .errors import ConfigError, LatticeBandError, ValidationMismatchError
 
 # Preset energy list for the fig1 kind: one trace per qualitative regime
 # (growing exponential below the band, linear at the lower edge, sine-like
@@ -427,7 +427,6 @@ def _band_diagram(s):
         s.energies.stop,
         grid_points=tol.grid_points,
         tol=tol.root_tol,
-        tol_edge=tol.tol_edge,
     )
 
 
@@ -437,11 +436,6 @@ def _band_scan(s):
     diagram = _band_diagram(s)
     with np.errstate(over="ignore", invalid="ignore"):
         discs = bands._period_map(table, energies).disc
-    if not np.isfinite(discs).all():
-        raise NumericalError(
-            f"the period map overflows at {np.count_nonzero(~np.isfinite(discs))} "
-            f"of the {len(energies)} scan energies"
-        )
     classes = [bands._zone_kind(d, s.tolerances.tol_edge).value for d in discs.tolist()]
     all_edges = sorted(
         list(diagram.edges) + list(diagram.degenerate_edges), key=lambda e: e.energy
@@ -465,7 +459,7 @@ def _validate(s):
         diagram = _band_diagram(s)
     else:
         diagram = bands.diagram_from_edges(
-            pot, lat, s.energies.start, s.energies.stop, s.claimed_edges, tol_edge=tol.tol_edge
+            pot, lat, s.energies.start, s.energies.stop, s.claimed_edges
         )
     try:
         report = oracle.cross_validate(

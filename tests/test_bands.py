@@ -23,6 +23,7 @@ from latticeband import (
     dirichlet_spectrum,
     find_band_edges,
     floquet_multipliers,
+    floquet_solution,
     monodromy,
     propagate,
     validate_potential,
@@ -124,6 +125,52 @@ class TestClassify:
     )
     def test_free_lattice(self, energy, kind):
         assert classify_energy(FREE, LAT, energy).kind == kind
+
+    def test_overflowed_point_queries_are_numerical_errors(self):
+        # at m = 500 D(-3) is nan: no query may read it as an edge or a phase
+        rng = np.random.default_rng(7)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 500)), u=tuple(rng.uniform(-0.2, 0.2, 500))
+        )
+        queries = (
+            classify_energy,
+            bloch_phase,
+            floquet_multipliers,
+            lambda pot, lat, energy: floquet_solution(pot, lat, energy, "growing", 10),
+        )
+        for query in queries:
+            with pytest.raises(NumericalError, match="period map overflows"):
+                query(pot, LAT, -3.0)
+
+
+def parent_zone_rule(d, tol_edge):
+    """The zone class before the one diagram builder: _zone_kind, and |D| <= 2
+    for a midpoint it read as Edge."""
+    if abs(d) < 2.0 - tol_edge:
+        return SpectralClass.ALLOWED
+    if abs(d) > 2.0 + tol_edge:
+        return SpectralClass.FORBIDDEN
+    return SpectralClass.ALLOWED if abs(d) <= 2.0 else SpectralClass.FORBIDDEN
+
+
+class TestZoneRule:
+    @pytest.mark.parametrize("tol_edge", [0.0, 1e-9, 1.9])
+    def test_builder_matches_the_parent_rule(self, monkeypatch, tol_edge):
+        edge_values = [2.0, 2.0 - tol_edge, 2.0 + tol_edge]
+        near = [np.nextafter(x, y) for x in edge_values for y in (0.0, 4.0)]
+        special = [0.0, *edge_values, *near, math.inf, math.nan]
+        rng = np.random.default_rng(23)
+        rand = [*rng.uniform(-4.0, 4.0, 40), *(2.0 + rng.normal(scale=1e-9, size=20))]
+        discs = [x for d in special + rand for x in (d, -d)]
+        # each zone's midpoint reads the next of these discriminants
+        monkeypatch.setattr(
+            latticeband.bands,
+            "_period_map",
+            lambda table, energy: Monodromy(np.array(discs, dtype=float), 0.0, 0.0, 0.0),
+        )
+        edges = [(float(k), 2.0) for k in range(1, len(discs))]
+        diagram = latticeband.bands._diagram(None, 0.0, float(len(discs)), edges, [])
+        assert [z.kind for z in diagram.zones] == [parent_zone_rule(d, tol_edge) for d in discs]
 
 
 def reference_bisect(value, lo, hi, f_lo, level, guess, tol):
@@ -680,3 +727,17 @@ class TestDiagramFromEdges:
     def test_rejects_edges_outside_range(self):
         with pytest.raises(ValueError):
             diagram_from_edges(P2, LAT, 0.0, 2.0, [3.0])
+        with pytest.raises(ValueError, match="scan range"):
+            diagram_from_edges(P2, LAT, 2.0, 2.0, [])
+
+    @pytest.mark.parametrize("claimed", [[0.0, 2.0, 2.0, 4.0], [0.0, 0.0, 4.0]])
+    def test_repeated_edge_is_one_boundary(self, claimed):
+        # free m = 2: band [0, 4], closed at 2, where D touches -2
+        free2 = PeriodicPotential.free(2)
+        diagram = diagram_from_edges(free2, LAT, -1.0, 5.0, claimed)
+        bounds = sorted(set(claimed))
+        assert [(z.lo, z.hi) for z in diagram.zones] == list(zip([-1.0] + bounds, bounds + [5.0]))
+        kinds = [z.kind for z in diagram.zones]
+        assert kinds[0] == kinds[-1] == SpectralClass.FORBIDDEN
+        assert set(kinds[1:-1]) == {SpectralClass.ALLOWED}
+        assert diagram.edge_energies() == tuple(claimed)

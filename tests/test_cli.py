@@ -106,6 +106,20 @@ def test_validate_rechecks_with_the_diagram_tolerance(tmp_path):
     assert all(line.endswith(",1") for line in report[1:])
 
 
+@pytest.mark.parametrize("claimed", [[0, 2, 2, 4], [0, 0, 4]], ids=["closed-gap", "repeated-edge"])
+def test_repeated_claimed_edge_passes_validate(tmp_path, claimed):
+    # free m = 2: the gap at 2 is closed, so the true edges are 0, 2, 2 and 4
+    doc = {
+        "kind": "validate",
+        "m": 2,
+        "energies": {"from": -1.0, "to": 5.0, "count": 601},
+        "claimed_edges": claimed,
+    }
+    claim = tmp_path / "claim.scenario"
+    claim.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(claim), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_validate_needs_scan_range(tmp_path):
     bad = tmp_path / "list.scenario"
     bad.write_text('{"kind": "trace", "energies": [1.0], "ic": [0, 1]}')
@@ -200,7 +214,9 @@ def test_validate_outputs_match_pinned_digests(tmp_path):
     # "<digest>  <scenario>/<file>" lines (sha256sum -c reads it too)
     golden = Path(__file__).resolve().parent / "golden" / "validate_digests.sha256"
     pinned = {name: digest for digest, name in map(str.split, golden.read_text().splitlines())}
-    codes = {"band_scan_period2": 0, "validate_period2": 0, "corrupt_edges": 3}
+    codes = {
+        "band_scan_period2": 0, "closed_gap_claim": 0, "validate_period2": 0, "corrupt_edges": 3
+    }
     assert sorted({name.split("/")[0] for name in pinned}) == sorted(codes)
     got = {}
     for name, code in codes.items():
