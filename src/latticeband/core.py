@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -41,6 +42,9 @@ RESCALE_LIMIT = 1e6
 RESIDUAL_TOLERANCE = 1e-10
 # Coefficient tables kept by validate_potential, least recently used dropped first.
 TABLE_CACHE_SIZE = 64
+# propagate looks for cycles of at most this many rescale events, and holds
+# the log factors of at most this many.
+CYCLE_EVENTS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -251,6 +255,18 @@ def propagate(
     The working pair is renormalised whenever its magnitude leaves
     [1/RESCALE_LIMIT, RESCALE_LIMIT]; the log-amplitude array absorbs the
     factors so reconstruction is exact up to rounding.
+
+    Every step after a rescale event depends only on the rescaled pair and
+    the phase of the next step, so when that state recurs bit for bit, the
+    loop would repeat the sites since its last occurrence bit for bit. A
+    gap solution locks onto the period this way within a few hundred sites;
+    the loop then stops and the cycle is copied over the remaining sites.
+    The cycle's log factors are still added to the offset one event at a
+    time, in order, so s and ell match the full walk in every bit. States
+    are compared by their bits (0.0 and -0.0 print differently) and found
+    with Brent's method, which keeps one state in memory; a cycle of more
+    than CYCLE_EVENTS events is not looked for. A band trace has no rescale
+    events and walks every site.
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
@@ -263,6 +279,10 @@ def propagate(
     p_prev, p_cur = float(ic.psi0), float(ic.psi1)
     offset = 0.0
     s, ell = [p_prev, p_cur], [0.0, 0.0]
+    # Brent's cycle search over rescale events: the saved state, its step,
+    # and the steps and log factors of the events since it
+    saved, saved_at, budget = None, 0, 1
+    since, logs = [], []
     for a, b in steps:
         p_next = a * p_cur + b * p_prev
         mx = abs(p_cur)
@@ -271,12 +291,57 @@ def propagate(
         if mx > hi or 0.0 < mx < lo:
             p_cur /= mx
             p_next /= mx
-            offset += math.log(mx)
+            log_mx = math.log(mx)
+            offset += log_mx
+            # this step n = len(s) - 1 makes site n + 1; the next uses phase n + 1
+            n = len(s) - 1
+            state = _STATE.pack(p_cur, p_next, (n + 1) % table.m)
+            since.append(n)
+            logs.append(log_mx)
+            if state == saved:
+                s.append(p_next)
+                ell.append(offset)
+                return _repeat_cycle(energy, ic, n_sites, s, ell, saved_at, since, logs)
+            if len(since) == budget:
+                saved, saved_at, budget = state, n, min(2 * budget, CYCLE_EVENTS)
+                since, logs = [], []
         s.append(p_next)
         ell.append(offset)
         p_prev, p_cur = p_cur, p_next
     return SolutionTrace(
         energy=energy, ic=ic, n_sites=n_sites, s=np.array(s), ell=np.array(ell)
+    )
+
+
+# Bit pattern of a state after a rescale event: the pair and the next phase.
+_STATE = struct.Struct("<ddq")
+
+
+def _repeat_cycle(energy, ic, n_sites, s, ell, start, events, logs):
+    """Finish a trace whose state after step `start` recurred after step n.
+
+    s and ell hold sites 0 .. n + 1; events are the event steps in
+    (start, n], the last one n, with their log factors. Every later site
+    k repeats site k - (n - start).
+    """
+    n = events[-1]
+    period, rest = n - start, n_sites - n - 1
+    tail_s = np.resize(np.array(s[start + 2 :]), rest)
+    # events still to come, by their distance r from n: site n + 1 + i
+    # carries those with r <= i
+    rel = np.array(events) - start
+    r = (rel + period * np.arange(-(-rest // period))[:, None]).ravel()
+    r = r[r <= rest]
+    offsets = list(
+        itertools.accumulate(itertools.islice(itertools.cycle(logs), len(r)), initial=ell[-1])
+    )
+    tail_ell = np.repeat(offsets, np.diff(r, prepend=1, append=rest + 1))
+    return SolutionTrace(
+        energy=energy,
+        ic=ic,
+        n_sites=n_sites,
+        s=np.concatenate([s, tail_s]),
+        ell=np.concatenate([ell, tail_ell]),
     )
 
 

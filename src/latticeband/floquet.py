@@ -128,6 +128,7 @@ def floquet_solution(
     energy: float,
     branch: str,
     n_sites: int,
+    tol_edge: float = TOL_EDGE,
 ) -> SolutionTrace:
     """Trace of the fundamental solution for one multiplier branch.
 
@@ -138,17 +139,19 @@ def floquet_solution(
     direction in which each branch grows), and extended by
     psi(n+m) = lambda psi(n), which keeps the multiplier relation exact over
     arbitrarily many periods (forward recursion alone would lose the decaying
-    branch to rounding within a few periods).
+    branch to rounding within a few periods). An energy with |D| within
+    tol_edge of 2 is an edge, as in classify_energy, and raises
+    DegenerateEdgeError.
     """
     if n_sites < 2:
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
-    return _fundamental(validate_potential(pot, lat), energy, branch, n_sites)[0]
+    return _fundamental(validate_potential(pot, lat), energy, branch, n_sites, tol_edge)[0]
 
 
-def _fundamental(table, energy, branch, n_sites):
+def _fundamental(table, energy, branch, n_sites, tol_edge):
     """floquet_solution from the coefficient table: (trace, lambda, kappa_site)."""
     mono = _period_map(table, energy)
-    kind = _zone_kind(mono.disc, TOL_EDGE)
+    kind = _zone_kind(mono.disc, tol_edge)
     if kind == SpectralClass.EDGE:
         raise DegenerateEdgeError(
             f"multipliers coincide at energy {energy} (D = {mono.disc:.6g})"
@@ -158,7 +161,7 @@ def _fundamental(table, energy, branch, n_sites):
             f"energy {energy} lies in an allowed zone (D = {mono.disc:.6g}); "
             "fundamental gap solutions need |D| > 2"
         )
-    pair = _multipliers(table, mono, energy, TOL_EDGE)
+    pair = _multipliers(table, mono, energy, tol_edge)
     lam, direction = select_branch(pair, branch)
     lam = float(lam.real) if isinstance(lam, complex) else float(lam)
 
@@ -390,16 +393,20 @@ def ic_sweep(
 
 
 def beat_estimate(
-    trace: SolutionTrace, pot: PeriodicPotential, lat: LatticeSpec
+    trace: SolutionTrace,
+    pot: PeriodicPotential,
+    lat: LatticeSpec,
+    tol_edge: float = TOL_EDGE,
 ) -> BeatEstimate:
     """Measure the envelope beat length of an allowed-zone trace.
 
     Envelope minima are strict local minima over three consecutive windows;
     their mean spacing is compared against pi*m/min(theta, pi - theta) from
     the per-period phase theta, the modulation wavelength of a solution one
-    phase-detuning away from the nearest zone edge.
+    phase-detuning away from the nearest zone edge. The energy must classify
+    as Allowed under tol_edge.
     """
-    zc = classify_energy(pot, lat, trace.energy)
+    zc = classify_energy(pot, lat, trace.energy, tol_edge)
     if zc.kind != SpectralClass.ALLOWED:
         raise OutsideAllowedZoneError(
             f"beats are an allowed-zone feature; energy {trace.energy} classifies "
@@ -420,7 +427,7 @@ def beat_estimate(
             f"found {len(minima)} envelope minima; need at least 2"
         )
     gaps = np.diff(minima)
-    theta = bloch_phase(pot, lat, trace.energy)
+    theta = bloch_phase(pot, lat, trace.energy, tol_edge)
     delta = min(theta, math.pi - theta)
     return BeatEstimate(
         minima_positions=tuple(minima),

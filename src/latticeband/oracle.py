@@ -190,7 +190,7 @@ def cross_validate(
     built the diagram, or edges found to a coarser tol leave slivers that
     read Gap inside claimed bands.
     """
-    if margin <= 0.0:
+    if not margin > 0.0:
         raise ValueError(f"margin must be positive, got {margin}")
     recomputed = find_band_edges(
         pot, lat, diagram.e_lo, diagram.e_hi, grid_points=grid_points, tol=tol

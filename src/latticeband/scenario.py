@@ -375,7 +375,9 @@ def _trace(s, energy):
 
 def _floquet(s, energy):
     table = validate_potential(s.potential(), s.lattice())
-    trace, lam, kappa = floquet._fundamental(table, energy, s.branch, s.n_sites)
+    trace, lam, kappa = floquet._fundamental(
+        table, energy, s.branch, s.n_sites, s.tolerances.tol_edge
+    )
     knot_res = floquet.knot_periodicity_residual(floquet.knots(trace), s.m)
     ratio_res = floquet.ratio_periodicity_residual(trace, s.m)
     extras = (lam, kappa, float(knot_res), float(ratio_res))
@@ -384,7 +386,9 @@ def _floquet(s, energy):
 
 def _effective(s, energy):
     pot, lat = s.potential(), s.lattice()
-    trace = floquet.floquet_solution(pot, lat, energy, s.branch, s.n_sites)
+    trace = floquet.floquet_solution(
+        pot, lat, energy, s.branch, s.n_sites, s.tolerances.tol_edge
+    )
     profile = floquet._fold(trace, pot)
     residual = floquet.effective_potential_periodicity_residual(profile, pot.m)
     n = len(profile.w)
@@ -399,7 +403,7 @@ def _sweep(s, energy):
 def _beat(s, energy):
     pot, lat = s.potential(), s.lattice()
     trace = propagate(pot, lat, energy, InitialCondition(*s.ic), s.n_sites)
-    est = floquet.beat_estimate(trace, pot, lat)
+    est = floquet.beat_estimate(trace, pot, lat, s.tolerances.tol_edge)
     k = len(est.minima_positions)
     return (np.array(est.minima_positions), np.full(k, est.l_est), np.full(k, est.l_pred))
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latticeband import cli
+from latticeband import LatticeSpec, PeriodicPotential, SpectralClass, classify_energy, cli
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -239,3 +239,42 @@ def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, messa
     err = capsys.readouterr().err
     assert err.startswith("latticeband: numerical failure: out of memory")
     assert message in err and err.count("\n") == 1
+
+
+def run_doc(tmp_path, doc, name="doc"):
+    path = tmp_path / f"{name}.scenario"
+    path.write_text(json.dumps(doc))
+    return cli.main(["run", str(path), "--out", str(tmp_path / name)])
+
+
+# On the free lattice D = 2 - E: |D| = 2.5 at E = 4.5 and 1.9 at E = 3.9, so
+# tol_edge 1.0 and 1.9 make these energies edges.
+@pytest.mark.parametrize(
+    "doc,tol_edge",
+    [
+        ({"kind": "floquet", "energies": [4.5], "n_sites": 40}, 1.0),
+        ({"kind": "effective", "energies": [4.5], "n_sites": 40}, 1.0),
+        ({"kind": "beat", "energies": [3.9], "n_sites": 400}, 1.9),
+    ],
+)
+def test_gap_solution_kinds_classify_with_the_document_tol_edge(tmp_path, capsys, doc, tol_edge):
+    energy = doc["energies"][0]
+    assert classify_energy(PeriodicPotential.free(), LatticeSpec(), energy, tol_edge).kind == (
+        SpectralClass.EDGE
+    )
+    assert run_doc(tmp_path, doc, "default") == cli.EXIT_OK
+    tuned = {**doc, "tolerances": {"tol_edge": tol_edge}}
+    assert run_doc(tmp_path, tuned, "tuned") == cli.EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_band_scan_rows_keep_their_tol_edge_class(tmp_path):
+    doc = {
+        "kind": "band-scan",
+        "energies": {"from": 4.5, "to": 5.0, "count": 2},
+        "tolerances": {"tol_edge": 1.0},
+    }
+    assert run_doc(tmp_path, doc) == cli.EXIT_OK
+    out = tmp_path / "doc"
+    assert (out / "band-scan_scan.csv").read_bytes() == b"E,D,class\n4.5,-2.5,Edge\n5,-3,Edge\n"
+    assert (out / "band-scan_edges.csv").read_bytes() == b"edge_energy,which_root\n"

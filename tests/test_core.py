@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from latticeband import (
     stagger,
     validate_potential,
 )
+from latticeband import core
+from latticeband.core import CYCLE_EVENTS, RESCALE_LIMIT
 
 FREE = PeriodicPotential.free()
 LAT = LatticeSpec()
@@ -271,6 +275,161 @@ class TestPropagate:
             head = la[: 501].max()
             tail = la[500:].max()
             assert abs(tail - head) / 500.0 < 1e-6
+
+
+def walk_every_site(pot, lat, energy, ic, n_sites):
+    """propagate's loop without the cycle shortcut: (s, ell) of every site."""
+    table = validate_potential(pot, lat)
+    phases = [(table.alpha(r, energy), table.beta[r]) for r in range(table.m)]
+    steps = itertools.islice(itertools.cycle(phases), 1, n_sites)
+    hi, lo = RESCALE_LIMIT, 1.0 / RESCALE_LIMIT
+    p_prev, p_cur = float(ic.psi0), float(ic.psi1)
+    offset = 0.0
+    s, ell = [p_prev, p_cur], [0.0, 0.0]
+    for a, b in steps:
+        p_next = a * p_cur + b * p_prev
+        mx = abs(p_cur)
+        if abs(p_next) > mx:
+            mx = abs(p_next)
+        if mx > hi or 0.0 < mx < lo:
+            p_cur /= mx
+            p_next /= mx
+            offset += math.log(mx)
+        s.append(p_next)
+        ell.append(offset)
+        p_prev, p_cur = p_cur, p_next
+    return np.array(s), np.array(ell)
+
+
+def assert_same_bits(trace, pot, energy, ic, n_sites):
+    s, ell = walk_every_site(pot, LAT, energy, ic, n_sites)
+    assert trace.s.tobytes() == s.tobytes()
+    assert trace.ell.tobytes() == ell.tobytes()
+
+
+def traced_peak(f, *args):
+    """(f(*args), the peak of the memory it allocated)."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class CountingMath:
+    """The math module, counting calls of log."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def log_calls(monkeypatch, pot, energy, ic, n_sites):
+    """(trace, math.log calls) of one propagate run."""
+    counter = CountingMath()
+    monkeypatch.setattr(core, "math", counter)
+    trace = propagate(pot, LAT, energy, ic, n_sites)
+    monkeypatch.undo()
+    return trace, counter.logs
+
+
+# Free lattice at E = 4.5: the multipliers are -2 and -1/2, so a gap solution
+# rescales once every 20 sites (2^20 > 1e6) and from (0, 1) its rescaled
+# state recurs after step 80: the loop stops at site 81, with a period of 20.
+GAP = 4.5
+# v = 0, u = (0, 1/2) at E = 2: a = 0 at both phases and b = -1/2, -2, so
+# (1, 0) grows by -2 per period with a signed zero at every odd site, and
+# (0, 1) decays by -1/2 per period.
+ZEROS = PeriodicPotential(v=(0.0, 0.0), u=(0.0, 0.5))
+
+
+class TestCycleReuse:
+    def test_shortcut_engages_on_a_gap_trace(self, monkeypatch):
+        # the E = 4.5 trace of trace_free.scenario: 9 rescale events over
+        # 200 sites, of which the walk computes the first 4
+        ic = InitialCondition(0.0, 1.0)
+        trace, logs = log_calls(monkeypatch, FREE, GAP, ic, 200)
+        assert np.count_nonzero(np.diff(trace.ell)) == 9
+        assert logs == 4
+        assert_same_bits(trace, FREE, GAP, ic, 200)
+
+    def test_band_trace_walks_every_site(self, monkeypatch):
+        ic = InitialCondition(0.0, 1.0)
+        trace, logs = log_calls(monkeypatch, FREE, 2.0, ic, 2000)
+        assert logs == 0
+        assert_same_bits(trace, FREE, 2.0, ic, 2000)
+
+    # 81: the shortcut starts at the last site; 101, 201: the trace ends on
+    # a cycle boundary; the others end mid-cycle
+    @pytest.mark.parametrize("n_sites", [81, 82, 83, 100, 101, 102, 200, 201])
+    def test_trace_end_anywhere_in_the_cycle(self, n_sites):
+        ic = InitialCondition(0.0, 1.0)
+        assert_same_bits(propagate(FREE, LAT, GAP, ic, n_sites), FREE, GAP, ic, n_sites)
+
+    @pytest.mark.parametrize(
+        "psi0,psi1",
+        [(1e300, -1e300), (1e-300, 3e-300), (-1e-300, 1e300), (1e300, 5e-324), (2.0, 1e-300)],
+    )
+    def test_huge_and_tiny_initial_conditions(self, psi0, psi1):
+        pot = PeriodicPotential(v=(1.0, -1.0), u=(0.1, -0.2))
+        ic = InitialCondition(psi0, psi1)
+        for energy in (-2.5, 1.1, 7.0):
+            assert_same_bits(propagate(pot, LAT, energy, ic, 600), pot, energy, ic, 600)
+
+    def test_decaying_solution_rescales_upward(self):
+        # (1, -1/2) is the decaying solution, exact in binary: every event
+        # scales the pair up and ell falls
+        ic = InitialCondition(1.0, -0.5)
+        trace = propagate(FREE, LAT, GAP, ic, 500)
+        assert trace.ell[-1] < -300.0
+        assert np.all(np.diff(trace.ell) <= 0.0)
+        assert_same_bits(trace, FREE, GAP, ic, 500)
+
+    @pytest.mark.parametrize("psi0,psi1", [(1.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (0.0, -1.0)])
+    def test_states_holding_signed_zeros(self, monkeypatch, psi0, psi1):
+        ic = InitialCondition(psi0, psi1)
+        trace, logs = log_calls(monkeypatch, ZEROS, 2.0, ic, 301)
+        zeros = trace.s[trace.s == 0.0]
+        assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+        assert logs < np.count_nonzero(np.diff(trace.ell))
+        assert_same_bits(trace, ZEROS, 2.0, ic, 301)
+
+    @pytest.mark.parametrize("m", [3, 8, 17, 50])
+    def test_long_periods(self, m):
+        rng = np.random.default_rng(m)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+        )
+        ic = InitialCondition(0.3, 1.0)
+        for energy in [-3.0, 7.5, 50.0, *rng.uniform(-1.5, 5.5, 6)]:
+            energy = float(energy)
+            assert_same_bits(propagate(pot, LAT, energy, ic, 3000), pot, energy, ic, 3000)
+
+    def test_one_rescale_per_site_holds_bounded_state(self):
+        # E = 1e7 rescales at every site, and a period of 5000 > CYCLE_EVENTS
+        # sites keeps the state from recurring: the walk visits every site
+        # and the search holds at most CYCLE_EVENTS log factors
+        m, n_sites = 5000, 30000
+        assert m > CYCLE_EVENTS
+        rng = np.random.default_rng(5)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+        )
+        ic = InitialCondition(0.3, 1.0)
+        validate_potential(pot, LAT)
+        trace, peak = traced_peak(propagate, pot, LAT, 1e7, ic, n_sites)
+        (s, ell), reference_peak = traced_peak(walk_every_site, pot, LAT, 1e7, ic, n_sites)
+        assert np.count_nonzero(np.diff(trace.ell)) == n_sites - 1
+        assert trace.s.tobytes() == s.tobytes() and trace.ell.tobytes() == ell.tobytes()
+        # beyond the walk: the steps and log factors of at most CYCLE_EVENTS
+        # events, under 64 bytes each
+        assert peak < reference_peak + 64 * CYCLE_EVENTS
 
 
 class TestStagger:

@@ -114,6 +114,12 @@ class TestFloquetSolution:
         with pytest.raises(DegenerateEdgeError):
             floquet_solution(FREE, LAT, 4.0, "growing", 50)
 
+    def test_tol_edge_widens_the_edge(self):
+        # D = -2.5 at E = 4.5: a gap energy, but within 1.0 of 2
+        floquet_solution(FREE, LAT, 4.5, "growing", 50, tol_edge=0.4)
+        with pytest.raises(DegenerateEdgeError):
+            floquet_solution(FREE, LAT, 4.5, "growing", 50, tol_edge=1.0)
+
     def test_plus_minus_branch_names(self):
         # plus/minus follow the quadratic-formula sign: at E = 5 (D = -3) the
         # plus root is the small one
@@ -302,6 +308,13 @@ class TestBeatEstimate:
         trace = propagate(FREE, LAT, 5.0, InitialCondition(0.0, 1.0), 200)
         with pytest.raises(OutsideAllowedZoneError):
             beat_estimate(trace, FREE, LAT)
+
+    def test_tol_edge_widens_the_edge(self):
+        # D = -1.9 at E = 3.9: an edge under tol_edge 1.9, as classify_energy says
+        trace = propagate(FREE, LAT, 3.9, InitialCondition(0.0, 1.0), 200)
+        assert classify_energy(FREE, LAT, 3.9, 1.9).kind == SpectralClass.EDGE
+        with pytest.raises(OutsideAllowedZoneError, match="Edge"):
+            beat_estimate(trace, FREE, LAT, tol_edge=1.9)
 
 
 def loop_pair(trace, n):

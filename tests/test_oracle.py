@@ -5,12 +5,16 @@ import pytest
 
 from latticeband import (
     FiniteOperator,
+    InitialCondition,
     LatticeSpec,
     PeriodicPotential,
     ValidationMismatchError,
     cross_validate,
     diagram_from_edges,
+    classify_energy,
     find_band_edges,
+    knots,
+    propagate,
     sturm_count,
 )
 from latticeband import oracle
@@ -219,6 +223,12 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(diagram, FREE, LAT, margin=0.0)
 
+    def test_rejects_nan_margin(self):
+        # nan fails every comparison: it would build (nan, nan) probes
+        diagram = find_band_edges(FREE, LAT, -1.0, 5.0)
+        with pytest.raises(ValueError, match="margin must be positive"):
+            cross_validate(diagram, FREE, LAT, margin=math.nan)
+
 
 def random_potential(seed, m):
     rng = np.random.default_rng(seed)
@@ -296,3 +306,49 @@ def assert_moved_edge_caught(k, shift):
     assert len(failing) == 1
     lo, hi = sorted((moved, moved - shift))
     assert lo < failing[0].lo < failing[0].hi < hi
+
+
+class TestKnotsAgreeWithSturmCounts:
+    """propagate and the oracle count the same levels by independent paths.
+
+    psi(0) = 0, psi(1) = 1 is the solution of the hard-wall chain on sites
+    1 .. N, whose phases start at 1: the chain of the potential rotated by
+    one phase. Its sign changes up to site N + 1 count the levels below E
+    when the hopping h = 1/d^2 - u is positive, and those above E when it is
+    negative, because the off-diagonal -h then changes sign.
+    """
+
+    @staticmethod
+    def assert_agree(pot, energy, n):
+        trace = propagate(pot, LAT, energy, InitialCondition(0.0, 1.0), n + 1)
+        count = sum(x > 0.0 for x in knots(trace).positions)
+        rotated = PeriodicPotential(v=np.roll(pot.v, -1), u=np.roll(pot.u, -1))
+        below = sturm_count(FiniteOperator.from_potential(rotated, LAT, n), energy)
+        h_positive = 1.0 / LAT.delta**2 > pot.u[0]
+        assert count == (below if h_positive else n - below), (pot, energy, n)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_random_short_chains(self, sign):
+        rng = np.random.default_rng(21 if sign > 0 else 22)
+        for _ in range(60):
+            m = int(rng.integers(1, 9))
+            u = rng.uniform(-0.3, 0.3, m) if sign > 0 else rng.uniform(1.2, 1.8, m)
+            pot = PeriodicPotential(v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(u))
+            energy = float(rng.uniform(-4.0, 8.0))
+            self.assert_agree(pot, energy, int(rng.integers(2, 301)))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_gap_energies_on_long_chains(self, m):
+        # 2000 sites: the rescaled state recurs and propagate copies the cycle
+        rng = np.random.default_rng(m)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.5, 1.5, m)), u=tuple(rng.uniform(-0.3, 0.3, m))
+        )
+        grid = np.linspace(-3.0, 7.0, 401).tolist()
+        forbidden = [classify_energy(pot, LAT, e).kind.value == "Forbidden" for e in grid]
+        # the middle grid point of every run of forbidden ones: one per gap
+        # on the grid, the two outer ones included
+        runs = np.flatnonzero(np.diff([False, *forbidden, False])).reshape(-1, 2)
+        assert len(runs) == m + 1
+        for start, stop in runs:
+            self.assert_agree(pot, grid[(start + stop - 1) // 2], 2000)
