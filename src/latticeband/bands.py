@@ -530,6 +530,11 @@ def bloch_phase(
         raise OutsideAllowedZoneError(
             f"energy {energy} lies in a forbidden zone (D = {d:.6g})"
         )
+    return _phase(d)
+
+
+def _phase(d):
+    """arccos(D/2) of a discriminant, with D/2 clamped into [-1, 1]."""
     return math.acos(min(1.0, max(-1.0, d / 2.0)))
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HoppingDegenerateError
+from .errors import HoppingDegenerateError, NumericalError
 
 # |h(n)| below this counts as a decoupled chain.
 HOPPING_EPSILON = 1e-9
@@ -272,6 +272,8 @@ def propagate(
         raise ValueError(f"n_sites must be at least 2, got {n_sites}")
     table = validate_potential(pot, lat)
     phases = [(table.alpha(r, energy), table.beta[r]) for r in range(table.m)]
+    if not all(math.isfinite(a) for a, _ in phases):
+        raise NumericalError(f"the step coefficient (c - E)/h overflows at E = {energy!r}")
     # (a(n), b(n)) for n = 1 .. n_sites - 1
     steps = itertools.islice(itertools.cycle(phases), 1, n_sites)
     hi, lo = RESCALE_LIMIT, 1.0 / RESCALE_LIMIT
@@ -308,6 +310,10 @@ def propagate(
         s.append(p_next)
         ell.append(offset)
         p_prev, p_cur = p_cur, p_next
+    # an overflowing step leaves NaN, which every later step keeps
+    if not math.isfinite(p_cur):
+        n = next(n for n, x in enumerate(s) if not math.isfinite(x))
+        raise NumericalError(f"the recurrence overflows at site {n} for E = {energy!r}")
     return SolutionTrace(
         energy=energy, ic=ic, n_sites=n_sites, s=np.array(s), ell=np.array(ell)
     )

@@ -27,8 +27,8 @@ from .bands import (
     SpectralClass,
     _multipliers,
     _period_map,
+    _phase,
     _zone_kind,
-    bloch_phase,
     classify_energy,
 )
 from .core import (
@@ -427,7 +427,8 @@ def beat_estimate(
             f"found {len(minima)} envelope minima; need at least 2"
         )
     gaps = np.diff(minima)
-    theta = bloch_phase(pot, lat, trace.energy, tol_edge)
+    # the one period map of classify_energy gives the phase too
+    theta = _phase(zc.disc)
     delta = min(theta, math.pi - theta)
     return BeatEstimate(
         minima_positions=tuple(minima),

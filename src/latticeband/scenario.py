@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -523,53 +524,142 @@ def run_scenario(s: Scenario, out_dir=None) -> RunResult:
     )
 
 
-def _conversion(kind: type) -> str:
-    """printf conversion for one value type: %.17g floats, %d ints and bools."""
+# Lines per byte block of `_write_csv`: a block of the widest file stays
+# within a few MB, whatever the line count.
+_ROWS = 2**14
+_COMMA, _NEWLINE = ord(","), ord("\n")
+
+
+def _text(value) -> bytes:
+    """One cell by its value's type: %.17g floats, %d ints and bools."""
+    kind = type(value)
     if issubclass(kind, float):
-        return "%.17g"
+        return b"%.17g" % value
     if issubclass(kind, int):
-        return "%d"
-    return "%s"
+        return b"%d" % value
+    return str(value).encode("utf-8")
 
 
-def _cells(column) -> list:
-    """Text of one column that is not a float64 array."""
-    if isinstance(column, np.ndarray):
-        if column.dtype == np.bool_:
-            return np.where(column, "1", "0").tolist()
-        if column.dtype.kind in "iu":
-            return list(map(str, column.tolist()))
-    return [_conversion(type(value)) % value for value in column]
+def _byte_rows(texts: list) -> np.ndarray:
+    """The texts as rows of a NUL-padded uint8 matrix."""
+    if b"\0" in b"".join(texts):
+        raise ValueError("a CSV cell contains a NUL character")
+    rows = np.array(texts, dtype=bytes)
+    return rows.view(np.uint8).reshape(len(texts), rows.itemsize)
+
+
+def _digits(column: np.ndarray) -> np.ndarray:
+    """Decimal text of a bool or integer array, right-aligned behind its sign."""
+    wide = column.astype(np.uint64 if column.dtype.kind == "u" else np.int64)
+    magnitude = np.abs(wide).view(np.uint64)  # |int64 min| wraps to 2**63
+    width = len(str(int(magnitude.max(initial=0))))
+    # one row per character position, so every step runs on contiguous lanes
+    chars = np.zeros((width + 1, len(column)), dtype=np.uint8)
+    np.copyto(chars[0], ord("-"), where=wide < 0)
+    significant = True  # the units digit always prints
+    for j in range(width, 0, -1):
+        np.divmod(magnitude, 10, out=(magnitude, chars[j]), casting="unsafe")
+        np.add(chars[j], ord("0"), out=chars[j], where=significant)
+        significant = magnitude > 0  # a zero left of the leading digit stays NUL
+    return chars.T
+
+
+def _float_rows(columns: list) -> tuple:
+    """Rows of the %.17g text of each distinct bit pattern among the float64
+    arrays, and for each array the row of every value.
+
+    The bit patterns are sorted, so 0.0 and -0.0 and NaNs of different
+    payloads stay apart, and each value finds its row by a binary search.
+    """
+    bits = np.concatenate(columns).view(np.uint64)
+    order = np.sort(bits)
+    head = np.empty(len(order), dtype=bool)
+    head[:1] = True
+    np.not_equal(order[1:], order[:-1], out=head[1:])
+    distinct = order[head]
+    texts = _byte_rows([b"%.17g" % x for x in distinct.view(np.float64).tolist()])
+    return texts, np.searchsorted(distinct, bits).reshape(len(columns), -1)
+
+
+def _cell_table(data, index: np.ndarray) -> np.ndarray:
+    """The text of every cell of `data` as a NUL-padded row of one uint8
+    table, each row closed by a comma in its last byte.
+
+    Sets index[j, i] to the row of column j's cell on line i. Float64 arrays
+    print %.17g and share one row per distinct value, integer arrays print
+    their decimal digits and bool arrays 1 and 0. Any other column is
+    formatted value by value by its own type.
+    """
+    n = index.shape[1]
+    floats, numbers, listed = [], [], []
+    for j, column in enumerate(data):
+        if not isinstance(column, np.ndarray):
+            listed.append(j)
+        elif column.dtype == np.float64:
+            floats.append(j)
+        else:
+            (numbers if column.dtype.kind in "biu" else listed).append(j)
+    parts, size = [], 0
+    if floats:
+        texts, index[floats] = _float_rows([data[j] for j in floats])
+        parts.append(texts)
+        size = len(texts)
+    for j in numbers:
+        parts.append(_digits(data[j]))
+        index[j] = np.arange(size, size + n)
+        size += n
+    if listed:
+        texts = []
+        for j in listed:
+            texts.extend(map(_text, data[j]))
+        parts.append(_byte_rows(texts))
+        index[listed] = np.arange(size, size + len(texts)).reshape(len(listed), n)
+        size += len(texts)
+    width = max(part.shape[1] for part in parts)
+    table = np.zeros((size, width + 1), dtype=np.uint8)
+    table[:, width] = _COMMA
+    size = 0
+    for part in parts:
+        table[size : size + len(part), : part.shape[1]] = part
+        size += len(part)
+    return table
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """os.write until every byte is out: one call may take fewer."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
 
 
 def _write_csv(path: Path, columns, data) -> None:
     """Write a header and one line per row of the columns in `data`.
 
-    `data` holds one sequence per column. Every float64 array cell of the
-    file prints %.17g, each distinct value formatted once: one np.unique
-    runs over the bit patterns of all of them, so 0.0 and -0.0 and NaNs of
-    different payloads stay apart, and the text goes back through the
-    inverse index. Integer arrays print through str, bool arrays as 1 and 0.
-    Any other column is formatted value by value by its own type.
+    `data` holds one sequence per column, formatted as `_cell_table` says:
+    one dedupe over the bit patterns of all float64 array cells of the
+    file, so each distinct value is formatted once. A text cell holding a
+    NUL character is refused with ValueError. The file is assembled in
+    blocks of `_ROWS` lines as bytes: the table rows of a block's cells lie
+    side by side in one uint8 array, the last comma of each line becomes
+    "\n" and the NUL padding is dropped. Lines end in "\n" on every
+    platform. The header goes out with the first block, so a small file
+    takes one write call.
     """
     lengths = {len(column) for column in data}
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {sorted(lengths)}")
-    n = lengths.pop()
-    # Cells and separators side by side, so the body is one join.
-    grid = np.empty((n, 2 * len(data)), dtype=object)
-    grid[:, 1::2] = ","
-    grid[:, -1] = "\n"
-    floats = [
-        j for j, col in enumerate(data) if isinstance(col, np.ndarray) and col.dtype == np.float64
-    ]
-    if floats:
-        bits = np.concatenate([data[j] for j in floats]).view(np.uint64)
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        texts = np.array(["%.17g" % x for x in distinct.view(np.float64).tolist()], dtype=object)
-        grid[:, [2 * j for j in floats]] = texts[inverse.reshape(len(floats), n).T]
-    for j, column in enumerate(data):
-        if j not in floats:
-            grid[:, 2 * j] = _cells(column)
-    text = ",".join(columns) + "\n" + "".join(grid.ravel().tolist())
-    path.write_text(text, encoding="utf-8")
+    index = np.empty((len(data), lengths.pop()), dtype=np.intp)
+    table = _cell_table(data, index)
+    text = (",".join(columns) + "\n").encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        for first in range(0, index.shape[1], _ROWS):
+            block = table.take(index[:, first : first + _ROWS].T, axis=0)
+            block = block.reshape(len(block), -1)
+            block[:, -1] = _NEWLINE
+            text += block.tobytes().translate(None, b"\0")
+            _write_all(fd, text)
+            text = b""
+        _write_all(fd, text)
+    finally:
+        os.close(fd)

@@ -278,3 +278,35 @@ def test_band_scan_rows_keep_their_tol_edge_class(tmp_path):
     out = tmp_path / "doc"
     assert (out / "band-scan_scan.csv").read_bytes() == b"E,D,class\n4.5,-2.5,Edge\n5,-3,Edge\n"
     assert (out / "band-scan_edges.csv").read_bytes() == b"edge_energy,which_root\n"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"kind": "trace", "u": [0.5], "energies": [-1e308], "ic": [0, 1], "n_sites": 4},
+            "the step coefficient (c - E)/h overflows at E = -1e+308",
+        ),
+        (
+            {"kind": "trace", "delta": 1.2e-154, "energies": [-1e308], "ic": [0, 1], "n_sites": 4},
+            "the step coefficient (c - E)/h overflows at E = -1e+308",
+        ),
+        (
+            {"kind": "sweep", "u": [0.5], "energies": [-1e308], "n_sites": 40},
+            "the step coefficient (c - E)/h overflows at E = -1e+308",
+        ),
+        (
+            # every coefficient is finite, but a * psi(1) is not
+            {"kind": "trace", "u": [0.5], "energies": [-5e299], "ic": [0, 1e10], "n_sites": 4},
+            "the recurrence overflows at site 2 for E = -5e+299",
+        ),
+    ],
+)
+def test_overflowing_recurrence_is_numerical_failure(tmp_path, capsys, doc, message):
+    # these wrote rows of nan,inf,nan and exited 0
+    path = tmp_path / "overflow.scenario"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and message in err
+    assert not list(tmp_path.glob("out/*.csv"))

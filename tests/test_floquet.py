@@ -309,6 +309,21 @@ class TestBeatEstimate:
         with pytest.raises(OutsideAllowedZoneError):
             beat_estimate(trace, FREE, LAT)
 
+    def test_one_period_map_per_call(self, monkeypatch):
+        # the class and the phase come from one read of the period map
+        trace = propagate(FREE, LAT, 3.9, InitialCondition(0.0, 1.0), 200)
+        expected = beat_estimate(trace, FREE, LAT)
+        calls = []
+        period_map = latticeband.bands._period_map
+
+        def counting(table, energy):
+            calls.append(energy)
+            return period_map(table, energy)
+
+        monkeypatch.setattr(latticeband.bands, "_period_map", counting)
+        assert beat_estimate(trace, FREE, LAT) == expected
+        assert calls == [3.9]
+
     def test_tol_edge_widens_the_edge(self):
         # D = -1.9 at E = 3.9: an edge under tol_edge 1.9, as classify_energy says
         trace = propagate(FREE, LAT, 3.9, InitialCondition(0.0, 1.0), 200)

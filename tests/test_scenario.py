@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from latticeband import (
     scenario_hash,
     serialize_scenario,
 )
-from latticeband.scenario import _FIELDS, KINDS, _write_csv
+from latticeband.scenario import _FIELDS, _ROWS, _TRACE_COLUMNS, KINDS, _trace, _write_csv
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -328,7 +329,65 @@ REPEATED_BITS = [
 ]
 
 
+def block_columns(n, seed):
+    """n rows of every kind of column, drawn from the special floats, the
+    repeated bit patterns and the integer extremes."""
+    rng = np.random.default_rng(seed)
+    pool = np.array(REPEATED_BITS, dtype=np.uint64).view(np.float64)
+    specials = np.array(SPECIAL_FLOATS)
+    int64 = np.array([-(2**63), 2**63 - 1, 0, -1, 9, 10, 10**18], dtype=np.int64)
+    uint64 = np.array([0, 2**64 - 1, 2**63, 9, 10, 99], dtype=np.uint64)
+    return {
+        "special": specials[rng.integers(0, len(specials), n)],
+        "repeated": rng.choice(pool, n),
+        "random": rng.integers(0, 2**64, n, dtype=np.uint64, endpoint=False).view(np.float64),
+        "int64": int64[rng.integers(0, len(int64), n)],
+        "uint64": uint64[rng.integers(0, len(uint64), n)],
+        "int8": rng.integers(-128, 127, n, dtype=np.int8, endpoint=True),
+        "bool": rng.random(n) < 0.5,
+        "mixed": [MIXED_NUMBERS[k % len(MIXED_NUMBERS)] for k in range(n)],
+        "str": ["Gap" if k % 3 else "Band" for k in range(n)],
+    }
+
+
+def long_gap_trace():
+    s = parse_scenario_file(SCENARIO_DIR / "trace_gap_long.scenario")
+    return _trace(s, s.energy_list()[0])
+
+
 class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 7])
+    def test_rows_around_block_boundaries(self, tmp_path, n):
+        columns = block_columns(n, seed=n)
+        path = tmp_path / "out.csv"
+        _write_csv(path, tuple(columns), tuple(columns.values()))
+        expected = reference_csv(tuple(columns), columns.values())
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_long_gap_trace(self, tmp_path):
+        data = long_gap_trace()
+        assert len(data[0]) > 6 * _ROWS
+        path = tmp_path / "out.csv"
+        _write_csv(path, _TRACE_COLUMNS, data)
+        assert path.read_bytes() == reference_csv(_TRACE_COLUMNS, data).encode("utf-8")
+
+    def test_long_gap_trace_peak_memory(self, tmp_path):
+        # an object grid of these cells takes 29 MB
+        data = long_gap_trace()
+        tracemalloc.start()
+        try:
+            _write_csv(tmp_path / "out.csv", _TRACE_COLUMNS, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_nul_in_a_text_cell_is_refused(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="NUL"):
+            _write_csv(path, ("x", "class"), (np.zeros(2), ["Gap", "Band\0"]))
+        assert not path.exists()
+
     def test_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(2024)
         bits = rng.integers(0, 2**64, 2000, dtype=np.uint64, endpoint=False)
