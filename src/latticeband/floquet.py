@@ -36,7 +36,7 @@ from .core import (
     LatticeSpec,
     PeriodicPotential,
     SolutionTrace,
-    propagate,
+    _walk_lanes,
     validate_potential,
 )
 from .errors import (
@@ -373,23 +373,37 @@ def ic_sweep(
 ) -> SweepResult:
     """Propagate every boundary direction (cos a, sin a) and score its growth.
 
+    Angle a_j = j pi / angle_count scores mean_growth_rate(propagate(pot,
+    lat, energy, (cos a_j, sin a_j), n_sites), m), bit for bit. All angles
+    walk together, one lane each, and only the two envelope windows that
+    mean_growth_rate reads are kept, so memory does not grow with n_sites;
+    a lane locked onto the period skips whole cycles between the windows.
+    A trace too short for two windows (n_sites < 2 max(m, 2) - 1) raises
+    InsufficientDataError before any walking.
+
     The returned alpha_star is the angle of least growth; in a forbidden zone
     it matches the decaying eigen-direction of the period map to within the
     grid spacing pi/angle_count.
     """
     if angle_count < MIN_ANGLES:
         raise ValueError(f"angle_count must be at least {MIN_ANGLES}, got {angle_count}")
-    alphas, growths = [], []
-    for j in range(angle_count):
-        alpha = j * math.pi / angle_count
-        ic = InitialCondition(math.cos(alpha), math.sin(alpha))
-        trace = propagate(pot, lat, energy, ic, n_sites)
-        alphas.append(alpha)
-        growths.append(mean_growth_rate(trace, pot.m))
-    best = int(np.argmin(growths))
-    return SweepResult(
-        alphas=tuple(alphas), growths=tuple(growths), alpha_star=alphas[best]
+    w = max(pot.m, 2)
+    k = (n_sites + 1) // w
+    if k < 2:
+        raise InsufficientDataError("trace too short for a growth estimate")
+    alphas = [j * math.pi / angle_count for j in range(angle_count)]
+    s, ell = _walk_lanes(
+        pot, lat, energy, [math.cos(a) for a in alphas], [math.sin(a) for a in alphas],
+        n_sites, w, (k - 1) * w,
     )
+    # envelope's window maxima and mean_growth_rate's slope between the
+    # centres of the first and last window, lane by lane
+    with np.errstate(divide="ignore"):
+        head, tail = (np.log(np.abs(s)) + ell).max(axis=1)
+    centre = 0.5 * (w - 1)
+    growths = ((tail - head) / (((k - 1) * w + centre) - centre)).tolist()
+    best = int(np.argmin(growths))
+    return SweepResult(alphas=tuple(alphas), growths=tuple(growths), alpha_star=alphas[best])
 
 
 def beat_estimate(

@@ -131,6 +131,13 @@ class Scenario:
                     f"kind '{kind}' needs energies.from < energies.to, "
                     f"got {energies.start!r} and {energies.stop!r}"
                 )
+        # a sweep scores each angle from two envelope windows of max(m, 2)
+        # sites; a floquet series compares ratios one period apart
+        least = {"sweep": 2 * max(self.m, 2) - 1, "floquet": self.m + 1}.get(kind)
+        if least is not None and self.n_sites < least:
+            raise ConfigError(
+                f"kind '{kind}' needs n_sites >= {least} at m = {self.m}, got {self.n_sites}"
+            )
         if self.claimed_edges is not None:
             if kind != "validate":
                 raise ConfigError("field 'claimed_edges' only applies to the validate kind")

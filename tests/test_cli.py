@@ -241,6 +241,21 @@ def test_out_of_memory_is_numerical_failure(tmp_path, monkeypatch, capsys, messa
     assert message in err and err.count("\n") == 1
 
 
+# A sweep at m = 3 scores two windows of 3 sites, so it needs 5 sites; a
+# floquet series at m = 3 compares ratios 3 sites apart, so it needs 4. One
+# site fewer is a config error before any work, and the minimum runs.
+@pytest.mark.parametrize("kind,least", [("sweep", 5), ("floquet", 4)])
+def test_shortest_trace_runs_and_one_site_fewer_is_config_error(tmp_path, kind, least):
+    doc = {"kind": kind, "m": 3, "v": [0.5, -0.5, 0.2], "energies": [5.0], "angles": 8}
+    bad = tmp_path / "short.scenario"
+    bad.write_text(json.dumps({**doc, "n_sites": least - 1}))
+    cp = run_cli("run", bad, "--out", tmp_path / "short")
+    assert cp.returncode == 1
+    assert f"config error: kind '{kind}' needs n_sites >= {least}" in cp.stderr
+    assert not (tmp_path / "short").exists()
+    assert run_doc(tmp_path, {**doc, "n_sites": least}) == 0
+
+
 def run_doc(tmp_path, doc, name="doc"):
     path = tmp_path / f"{name}.scenario"
     path.write_text(json.dumps(doc))

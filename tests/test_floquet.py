@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import latticeband
+from latticeband import core
 from latticeband import (
     RESIDUAL_TOLERANCE,
     DegenerateEdgeError,
@@ -12,6 +14,7 @@ from latticeband import (
     KnotList,
     LatticeSpec,
     NotForbiddenError,
+    NumericalError,
     OutsideAllowedZoneError,
     PeriodicPotential,
     SpectralClass,
@@ -27,6 +30,7 @@ from latticeband import (
     ic_sweep,
     knot_periodicity_residual,
     knots,
+    mean_growth_rate,
     propagate,
     ratio_periodicity_residual,
     ratio_sequence,
@@ -270,12 +274,160 @@ class TestIcSweep:
         with pytest.raises(ValueError):
             ic_sweep(FREE, LAT, 5.0, 4, 100)
 
+    def test_too_short_raises_before_walking(self, monkeypatch):
+        # two windows of max(m, 2) sites need n_sites >= 2 max(m, 2) - 1
+        monkeypatch.setattr(latticeband.floquet, "_walk_lanes", None)
+        for pot, n_sites in ((FREE, 2), (P2, 2), (PeriodicPotential.free(3), 4)):
+            with pytest.raises(InsufficientDataError, match="too short"):
+                ic_sweep(pot, LAT, 5.0, 8, n_sites)
+
     def test_generic_growth_matches_kappa(self):
         # away from the special direction the tail grows at kappa per site
         for pot, energy in ((FREE, 5.0), (P2, 2.0)):
             kappa = floquet_multipliers(pot, LAT, energy).kappa_site
             trace = propagate(pot, LAT, energy, InitialCondition(1.0, 1.0), 1000)
             assert abs(tail_growth_rate(trace, pot.m) - kappa) <= 1e-4
+
+
+def reference_sweep(pot, lat, energy, angle_count, n_sites):
+    """ic_sweep's growths, one propagate and one mean_growth_rate per angle."""
+    growths = []
+    for j in range(angle_count):
+        alpha = j * math.pi / angle_count
+        ic = InitialCondition(math.cos(alpha), math.sin(alpha))
+        growths.append(mean_growth_rate(propagate(pot, lat, energy, ic, n_sites), pot.m))
+    return growths
+
+
+def assert_same_growths(pot, lat, energy, angle_count, n_sites):
+    got = ic_sweep(pot, lat, energy, angle_count, n_sites).growths
+    want = reference_sweep(pot, lat, energy, angle_count, n_sites)
+    assert [g.hex() for g in got] == [g.hex() for g in want]
+
+
+def sweep_energies(pot, lat):
+    """The middle of the widest band, below the spectrum, and the middle of
+    the widest inner gap if there is one."""
+    table = latticeband.validate_potential(pot, lat)
+    reach = 2.0 * max(map(abs, table.h))
+    edges = find_band_edges(pot, lat, min(table.c) - reach - 1.0, max(table.c) + reach + 1.0)
+    e = edges.edge_energies()
+    band = max((e[k + 1] - e[k], 0.5 * (e[k] + e[k + 1])) for k in range(0, len(e), 2))[1]
+    energies = [band, e[0] - 0.5]
+    if len(e) > 2:
+        energies.append(max((e[k + 1] - e[k], 0.5 * (e[k] + e[k + 1])) for k in range(1, len(e) - 1, 2))[1])
+    return energies
+
+
+class StepCounter:
+    """Stands in for numpy in core: a walk step multiplies twice."""
+
+    def __init__(self):
+        self.multiplies = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        self.multiplies += 1
+        return np.multiply(*args, **kwargs)
+
+
+# v = 0, u = (0, 1/2) at E = 2: a = 0 at both phases and b = -1/2, -2, so
+# (1, 0) grows by -2 per period and (0, 1) decays by -1/2 per period.
+ZEROS = PeriodicPotential(v=(0.0, 0.0), u=(0.0, 0.5))
+
+
+class TestSweepLanes:
+    """ic_sweep walks all angles together; every growth is the per-angle
+    walk's in every bit."""
+
+    # m = 50: a state recurs a multiple of m sites after an event, so no lane
+    # moves before its first window of m sites is written
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20, 50])
+    def test_random_potentials(self, m, delta):
+        rng = np.random.default_rng(m)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+        )
+        lat = LatticeSpec(delta)
+        w = max(m, 2)
+        for energy in sweep_energies(pot, lat):
+            for angle_count, n_sites in ((180, 2 * w - 1), (37, 999 + m), (180, 400), (8, 5000)):
+                assert_same_growths(pot, lat, energy, angle_count, n_sites)
+
+    @pytest.mark.parametrize("angle_count", [8, 37, 180])
+    def test_signed_zeros(self, angle_count):
+        # a = 0 at both phases, so the lane from (1, 0) carries a signed
+        # zero at every odd site
+        for n_sites in (3, 301, 2000):
+            assert_same_growths(ZEROS, LAT, 2.0, angle_count, n_sites)
+
+    @pytest.mark.parametrize("angle_count", [8, 180])
+    def test_lanes_near_the_decaying_direction(self, angle_count):
+        # the lane at pi/2 starts 6e-17 off the decaying solution (0, 1): it
+        # decays for about 50 periods, its events scaling up, before the
+        # growing part takes over; it scores least
+        result = ic_sweep(ZEROS, LAT, 2.0, angle_count, 2000)
+        alpha = result.alphas[angle_count // 2]
+        assert result.alpha_star == alpha
+        ic = InitialCondition(math.cos(alpha), math.sin(alpha))
+        assert np.diff(propagate(ZEROS, LAT, 2.0, ic, 2000).ell).min() < 0.0
+        assert_same_growths(ZEROS, LAT, 2.0, angle_count, 2000)
+
+    # E = 4.5 on the free lattice rescales every 20 sites and locks within a
+    # hundred; far below the spectrum a lane rescales at nearly every site
+    # and locks onto a cycle of one period, so on short traces some lanes
+    # move one cycle and still walk when the others reach their last window.
+    # The ends run through every phase of the cycles.
+    @pytest.mark.parametrize("m,energy", [(1, 4.5), (2, -20.0), (5, -15.0)])
+    def test_traces_ending_anywhere_in_the_cycle(self, m, energy):
+        rng = np.random.default_rng(m)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, m)), u=tuple(rng.uniform(-0.2, 0.2, m))
+        ) if m > 1 else FREE
+        for n_sites in range(2 * max(m, 2) - 1, 300):
+            assert_same_growths(pot, LAT, energy, 8, n_sites)
+
+    def test_long_gap_sweep_skips_its_cycles(self, monkeypatch):
+        counter = StepCounter()
+        monkeypatch.setattr(core, "np", counter)
+        result = ic_sweep(P2, LAT, 2.0, 180, 100_000)
+        monkeypatch.undo()
+        assert counter.multiplies // 2 < 1000
+        assert result.growths == ic_sweep(P2, LAT, 2.0, 180, 100_000).growths
+        assert_same_growths(P2, LAT, 2.0, 8, 100_000)
+
+    @pytest.mark.parametrize("pot,energy,n_sites", [(P2, 2.0, 100_000), (FREE, 2.0, 5000)])
+    def test_memory_does_not_grow_with_the_trace(self, pot, energy, n_sites):
+        # an array of angles x n_sites would take 144 MB and 7.2 MB
+        tracemalloc.start()
+        try:
+            ic_sweep(pot, LAT, energy, 180, n_sites)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_coefficient_overflow(self):
+        pot = PeriodicPotential(v=(0.0,), u=(0.5,))
+        with pytest.raises(NumericalError) as want:
+            propagate(pot, LAT, -1e308, InitialCondition(1.0, 0.0), 40)
+        with pytest.raises(NumericalError) as got:
+            ic_sweep(pot, LAT, -1e308, 8, 40)
+        assert str(got.value) == str(want.value)
+
+    # At 8e300 angle 0 overflows at site 5 and every other angle at site 3;
+    # at 1e301 angle 0 runs through and angle 1 overflows at site 3.
+    @pytest.mark.parametrize("energy", [8e300, 1e301])
+    def test_recurrence_overflow_names_the_first_failing_angle(self, energy):
+        pot = PeriodicPotential(v=(0.0, 0.0), u=(0.99, -1e295))
+        with pytest.raises(NumericalError, match="recurrence overflows") as want:
+            reference_sweep(pot, LAT, energy, 8, 40)
+        with pytest.raises(NumericalError) as got:
+            ic_sweep(pot, LAT, energy, 8, 40)
+        assert str(got.value) == str(want.value)
 
 
 class TestBeatEstimate:

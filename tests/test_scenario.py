@@ -3,7 +3,7 @@ import json
 import math
 import re
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +123,20 @@ class TestParse:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_scenario_file("/no/such/file.scenario")
+
+    # a sweep needs two growth windows of max(m, 2) sites, a floquet series
+    # one period of ratios; m = 1 still takes windows of two sites
+    @pytest.mark.parametrize(
+        "kind,m,least", [("sweep", 3, 5), ("sweep", 1, 3), ("floquet", 3, 4), ("floquet", 1, 2)]
+    )
+    def test_shortest_trace_per_kind(self, kind, m, least):
+        doc = {"kind": kind, "m": m, "energies": [5.0], "n_sites": least}
+        assert make(doc).n_sites == least
+        if least > 2:
+            with pytest.raises(ConfigError, match=f"needs n_sites >= {least} at m = {m}"):
+                make({**doc, "n_sites": least - 1})
+        with pytest.raises(ConfigError, match=f"needs n_sites >= {least}"):
+            replace(make(doc), n_sites=least - 1)
 
 
 class TestReadme:
