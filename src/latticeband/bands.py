@@ -466,7 +466,7 @@ def _eigvec(mono: Monodromy, lam):
     return (vec[0] / norm, vec[1] / norm)
 
 
-def _advance(table, energy, state):
+def _step_direction(table, energy, state):
     """One forward step: (psi(0), psi(-1)) -> direction (psi(1), psi(0))."""
     psi1 = table.alpha(0, energy) * state[0] + table.beta[0] * state[1]
     norm = math.sqrt(abs(psi1) ** 2 + abs(state[0]) ** 2)
@@ -511,8 +511,8 @@ def _multipliers(table, mono, energy, tol_edge):
     return FloquetPair(
         lambda_plus=lam_plus,
         lambda_minus=lam_minus,
-        dir_plus=_advance(table, energy, _eigvec(mono, lam_plus)),
-        dir_minus=_advance(table, energy, _eigvec(mono, lam_minus)),
+        dir_plus=_step_direction(table, energy, _eigvec(mono, lam_plus)),
+        dir_minus=_step_direction(table, energy, _eigvec(mono, lam_minus)),
         kappa_site=kappa,
         degenerate=kind is _EDGE,
     )

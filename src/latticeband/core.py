@@ -362,14 +362,15 @@ def _walk_lanes(pot, lat, energy, psi0, psi1, n_sites, width, tail):
     [tail, tail + width) of every lane, for 2 <= width <= min(m + 2, tail)
     and tail + width <= n_sites + 1. Nothing else of the traces is kept.
 
-    Each lane looks for a recurring state with propagate's cycle rule. When
-    its state recurs after P sites, the lane moves its site label ahead by
-    the most whole cycles that keep it short of `tail`, adds the cycle's
-    log factors to its offset that many times, in order, and walks on. A
-    recurrence takes a multiple of m sites after an event at step 1 or
-    later, so it comes after site m + 1: the first window is written by
-    then. P being a multiple of m, the lanes keep sharing each step's
-    phase. A lane leaves the walk at its site n_sites.
+    Each lane runs propagate's cycle search until its state recurs after P
+    sites, then keeps the cycle's log factors and counts its events. Once
+    the last lane locks, every lane repeats itself every L sites, L the lcm
+    of the lanes' P, and the walk jumps ahead by the most multiples of L
+    that keep it short of `tail`, each lane adding its cycle's log factors
+    in order from where it stands in the cycle. A recurrence takes a
+    multiple of m sites after an event at step 1 or later, so it comes
+    after site m + 1: the first window is written by then. While a lane is
+    unlocked (a band lane, or one that overflowed), every step is walked.
     """
     table = validate_potential(pot, lat)
     m = table.m
@@ -382,20 +383,18 @@ def _walk_lanes(pot, lat, energy, psi0, psi1, n_sites, width, tail):
     s[0, 0], s[0, 1] = psi0, psi1
     prev, cur = s[0, 0].copy(), s[0, 1].copy()
     nxt, tmp, mag = np.empty(lanes), np.empty(lanes), np.empty(lanes)
-    # per lane, by its index j: log offset, label shift, first non-finite
-    # site, and Brent's search (saved state, its step, the event logs since)
-    offset, shift, bad = [0.0] * lanes, [0] * lanes, {}
+    # per lane: log offset, first non-finite site, Brent's search (saved
+    # state, its step, the event logs since) and, once locked, the cycle's
+    # length in sites and the events walked since the lock
+    offset, bad = [0.0] * lanes, {}
     saved, saved_at, budget = [None] * lanes, [0] * lanes, [1] * lanes
     logs = [[] for _ in range(lanes)]
-    ids = list(range(lanes))  # the lane at each array position
-    where = np.arange(lanes)  # the position of each lane
-    # steps at which a group of lanes (None: those never moved) reaches
-    # site `tail`, and steps after which lanes leave
-    starts, ends, recording = {tail - 1: None}, {}, []
+    period, seen, unlocked = [0] * lanes, [0] * lanes, lanes
     multiply, add, absolute, fmax = np.multiply, np.add, np.absolute, np.fmax
     top, bottom = np.maximum.reduce, np.minimum.reduce
+    i = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n_sites):
+        while i < n_sites:
             a, b = phases[i % m]
             multiply(cur, a, out=tmp)
             multiply(prev, b, out=nxt)
@@ -410,75 +409,64 @@ def _walk_lanes(pot, lat, energy, psi0, psi1, n_sites, width, tail):
             ):
                 near = np.flatnonzero(~((mag >= lo) & (mag <= hi)))
                 moved, new_cur, new_nxt = [], [], []
-                for p, c, x in zip(near.tolist(), cur[near].tolist(), nxt[near].tolist()):
+                for j, c, x in zip(near.tolist(), cur[near].tolist(), nxt[near].tolist()):
                     mx = abs(c)
                     if abs(x) > mx:
                         mx = abs(x)
-                    j = ids[p]
                     if mx > hi or 0.0 < mx < lo:
                         c /= mx
                         x /= mx
-                        moved.append(p)
+                        moved.append(j)
                         new_cur.append(c)
                         new_nxt.append(x)
                         log_mx = math.log(mx)
                         offset[j] += log_mx
-                        since = logs[j]
-                        if since is not None:
-                            since.append(log_mx)
+                        if period[j]:
+                            seen[j] += 1
+                        else:
+                            logs[j].append(log_mx)
                             state = _STATE.pack(c, x, (i + 1) % m)
                             if state == saved[j]:
-                                logs[j] = None
-                                period = i - saved_at[j]
-                                times = (tail - 2 - i) // period
-                                if times > 0:
-                                    shift[j] = times * period
-                                    offset[j] = _advance(offset[j], since, times)
-                                    starts.setdefault(tail - 1 - shift[j], []).append(j)
-                                    ends.setdefault(n_sites - 1 - shift[j], []).append(j)
-                            elif len(since) == budget[j]:
+                                period[j] = i - saved_at[j]
+                                unlocked -= 1
+                            elif len(logs[j]) == budget[j]:
                                 saved[j], saved_at[j], logs[j] = state, i, []
                                 budget[j] = min(2 * budget[j], CYCLE_EVENTS)
                     if x != x and j not in bad:
-                        bad[j] = i + 1 + shift[j]
+                        bad[j] = i + 1
                 if moved:
                     cur[moved] = new_cur
                     nxt[moved] = new_nxt
+                if not unlocked:
+                    # every lane's state after step i recurs after step i + jump;
+                    # unlocked = -1 keeps this from running again
+                    cycle = math.lcm(*period)
+                    jump = (tail - 2 - i) // cycle * cycle
+                    if jump > 0:
+                        for j, since in enumerate(logs):
+                            offset[j] = _advance(offset[j], since, seen[j], jump // period[j])
+                        i += jump
+                    unlocked, logs = -1, None
             if i + 1 < width:
-                s[0, i + 1] = nxt
-                ell[0, i + 1] = offset
-            if recording or i in starts:
-                if i in starts:
-                    group = starts.pop(i)
-                    if group is None:
-                        group = [j for j in ids if not shift[j]]
-                    recording.append((i, np.array(group, dtype=np.intp), group))
-                for start, lanes_in, group in recording:
-                    s[1, i - start, lanes_in] = nxt[where[lanes_in]]
-                    ell[1, i - start, lanes_in] = [offset[j] for j in group]
-                recording = [r for r in recording if i - r[0] < width - 1]
-            if i in ends:
-                gone = set(ends.pop(i))
-                keep = [p for p, j in enumerate(ids) if j not in gone]
-                ids = [ids[p] for p in keep]
-                where[ids] = range(len(ids))
-                cur, nxt = cur[keep], nxt[keep]
-                prev, tmp, mag = np.empty(len(ids)), np.empty(len(ids)), np.empty(len(ids))
-                if not ids:
-                    break
+                s[0, i + 1], ell[0, i + 1] = nxt, offset
+            elif tail <= i + 1 < tail + width:
+                s[1, i + 1 - tail], ell[1, i + 1 - tail] = nxt, offset
             prev, cur, nxt = cur, nxt, prev
+            i += 1
     if bad:
         j = min(bad)
         raise NumericalError(f"the recurrence overflows at site {bad[j]} for E = {energy!r}")
     return s, ell
 
 
-def _advance(offset, logs, times):
-    """offset plus the factors in `logs`, `times` times over, added one at a
-    time in order, as a walk through `times` cycles adds them."""
+def _advance(offset, logs, start, times):
+    """offset plus the factors in `logs`, `times` times over from entry
+    `start` (mod len(logs)) round, added one at a time in order, as a walk
+    through `times` cycles adds them."""
+    start %= len(logs)
     chunk = min(times, max(1, CYCLE_EVENTS // len(logs)))  # cycles per call
     terms = np.empty(1 + chunk * len(logs))
-    terms[1:].reshape(chunk, len(logs))[:] = logs
+    terms[1:].reshape(chunk, len(logs))[:] = logs[start:] + logs[:start]
     while times:
         run = min(times, chunk)
         terms[0] = offset

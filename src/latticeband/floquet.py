@@ -376,8 +376,9 @@ def ic_sweep(
     Angle a_j = j pi / angle_count scores mean_growth_rate(propagate(pot,
     lat, energy, (cos a_j, sin a_j), n_sites), m), bit for bit. All angles
     walk together, one lane each, and only the two envelope windows that
-    mean_growth_rate reads are kept, so memory does not grow with n_sites;
-    a lane locked onto the period skips whole cycles between the windows.
+    mean_growth_rate reads are kept, so memory does not grow with n_sites.
+    Once every lane has locked onto a cycle, the walk jumps whole cycles of
+    all lanes at once towards the last window.
     A trace too short for two windows (n_sites < 2 max(m, 2) - 1) raises
     InsufficientDataError before any walking.
 

@@ -132,8 +132,12 @@ class Scenario:
                     f"got {energies.start!r} and {energies.stop!r}"
                 )
         # a sweep scores each angle from two envelope windows of max(m, 2)
-        # sites; a floquet series compares ratios one period apart
-        least = {"sweep": 2 * max(self.m, 2) - 1, "floquet": self.m + 1}.get(kind)
+        # sites; a floquet series compares ratios one period apart, and an
+        # effective profile m pairs of defined sites a period apart (its two
+        # end sites are never defined)
+        least = {
+            "sweep": 2 * max(self.m, 2) - 1, "floquet": self.m + 1, "effective": 2 * self.m + 1
+        }.get(kind)
         if least is not None and self.n_sites < least:
             raise ConfigError(
                 f"kind '{kind}' needs n_sites >= {least} at m = {self.m}, got {self.n_sites}"

@@ -256,6 +256,28 @@ def test_shortest_trace_runs_and_one_site_fewer_is_config_error(tmp_path, kind, 
     assert run_doc(tmp_path, {**doc, "n_sites": least}) == 0
 
 
+# An effective profile has no value at its two end sites and compares m
+# pairs of defined sites one period apart, so it needs 2m + 1 sites. One site
+# fewer leaves too few pairs and is a config error before any work; the
+# minimum runs.
+@pytest.mark.parametrize(
+    "doc,least",
+    [
+        ({"kind": "effective", "energies": [4.5]}, 3),
+        ({"kind": "effective", "m": 3, "v": [1.0, -1.0, 0.5], "energies": [5.0]}, 7),
+    ],
+)
+def test_effective_needs_2m_plus_1_sites(tmp_path, doc, least):
+    bad = tmp_path / "short.scenario"
+    bad.write_text(json.dumps({**doc, "n_sites": least - 1}))
+    cp = run_cli("run", bad, "--out", tmp_path / "short")
+    assert cp.returncode == 1
+    m = doc.get("m", 1)
+    assert f"config error: kind 'effective' needs n_sites >= {least} at m = {m}" in cp.stderr
+    assert not (tmp_path / "short").exists()
+    assert run_doc(tmp_path, {**doc, "n_sites": least}) == 0
+
+
 def run_doc(tmp_path, doc, name="doc"):
     path = tmp_path / f"{name}.scenario"
     path.write_text(json.dumps(doc))

@@ -342,8 +342,8 @@ class TestSweepLanes:
     """ic_sweep walks all angles together; every growth is the per-angle
     walk's in every bit."""
 
-    # m = 50: a state recurs a multiple of m sites after an event, so no lane
-    # moves before its first window of m sites is written
+    # m = 50: a state recurs a multiple of m sites after an event, so the
+    # walk cannot jump before the first window of m sites is written
     @pytest.mark.parametrize("delta", [1.0, 0.5])
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 20, 50])
     def test_random_potentials(self, m, delta):
@@ -378,9 +378,9 @@ class TestSweepLanes:
 
     # E = 4.5 on the free lattice rescales every 20 sites and locks within a
     # hundred; far below the spectrum a lane rescales at nearly every site
-    # and locks onto a cycle of one period, so on short traces some lanes
-    # move one cycle and still walk when the others reach their last window.
-    # The ends run through every phase of the cycles.
+    # and locks onto a cycle of one period, so on short traces the walk
+    # jumps no cycle, one or a few before the last window, and the ends run
+    # through every phase of the cycles.
     @pytest.mark.parametrize("m,energy", [(1, 4.5), (2, -20.0), (5, -15.0)])
     def test_traces_ending_anywhere_in_the_cycle(self, m, energy):
         rng = np.random.default_rng(m)
@@ -389,6 +389,49 @@ class TestSweepLanes:
         ) if m > 1 else FREE
         for n_sites in range(2 * max(m, 2) - 1, 300):
             assert_same_growths(pot, LAT, energy, 8, n_sites)
+
+    # At m = 5, default_rng(507) at E = 6.5 has lanes locked onto cycles of
+    # 10 and 20 sites, and default_rng(502) at E = -0.356... onto 35 and 70:
+    # the walk jumps by multiples of the longer cycle, and a lane of the
+    # shorter one adds its log factors twice per jumped cycle.
+    @pytest.mark.parametrize("seed,energy", [(507, 6.5), (502, -0.3562239742420332)])
+    def test_lanes_locked_onto_two_periods(self, monkeypatch, seed, energy):
+        rng = np.random.default_rng(seed)
+        pot = PeriodicPotential(
+            v=tuple(rng.uniform(-1.0, 1.0, 5)), u=tuple(rng.uniform(-0.2, 0.2, 5))
+        )
+        for angle_count, n_sites in ((180, 400), (37, 3000)):
+            assert_same_growths(pot, LAT, energy, angle_count, n_sites)
+        counter = StepCounter()
+        monkeypatch.setattr(core, "np", counter)
+        ic_sweep(pot, LAT, energy, 37, 3000)
+        assert counter.multiplies // 2 < 400
+
+    def test_jump_adds_each_cycle_from_the_lanes_place_in_it(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the sum shows the order of the
+        # terms; 5000 cycles of 4 factors take several chunks
+        logs = [1e16, 1.0, 1.0, -1e16]
+        for start in range(8):
+            for times in (1, 2, 3, 5000):
+                want = 0.5
+                for k in range(times * len(logs)):
+                    want += logs[(start + k) % len(logs)]
+                assert core._advance(0.5, logs, start, times) == want
+
+    # The steps of a walk that skips each lane's own cycles as soon as it
+    # locks: its length is set by the lane that locks last, so one jump for
+    # all lanes, once the last has locked, takes no more when the lanes
+    # share one cycle length.
+    @pytest.mark.parametrize(
+        "pot,energy,n_sites,steps",
+        [(FREE, 4.5, 100_000, 99), (P2, 2.0, 20_000, 279), (P2, 2.0, 100_000, 239),
+         (FREE, 5.0, 200, 109)],
+    )
+    def test_steps_walked(self, monkeypatch, pot, energy, n_sites, steps):
+        counter = StepCounter()
+        monkeypatch.setattr(core, "np", counter)
+        ic_sweep(pot, LAT, energy, 180, n_sites)
+        assert counter.multiplies // 2 <= steps
 
     def test_long_gap_sweep_skips_its_cycles(self, monkeypatch):
         counter = StepCounter()

@@ -125,9 +125,15 @@ class TestParse:
             parse_scenario_file("/no/such/file.scenario")
 
     # a sweep needs two growth windows of max(m, 2) sites, a floquet series
-    # one period of ratios; m = 1 still takes windows of two sites
+    # one period of ratios, an effective profile m defined pairs a period
+    # apart between its two undefined ends; m = 1 still takes windows of two
+    # sites
     @pytest.mark.parametrize(
-        "kind,m,least", [("sweep", 3, 5), ("sweep", 1, 3), ("floquet", 3, 4), ("floquet", 1, 2)]
+        "kind,m,least",
+        [
+            ("sweep", 3, 5), ("sweep", 1, 3), ("floquet", 3, 4), ("floquet", 1, 2),
+            ("effective", 3, 7), ("effective", 1, 3),
+        ],
     )
     def test_shortest_trace_per_kind(self, kind, m, least):
         doc = {"kind": kind, "m": m, "energies": [5.0], "n_sites": least}
